@@ -1,11 +1,14 @@
 #include "check/oracles.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
+#include <unordered_set>
 
 #include "check/ulp.hpp"
 #include "cnn/cnn_pipeline.hpp"
 #include "fault/injector.hpp"
+#include "gnn/async_update.hpp"
 #include "gnn/gnn_pipeline.hpp"
 #include "gnn/graph_builder.hpp"
 #include "gnn/graph_conv.hpp"
@@ -524,6 +527,363 @@ std::optional<std::string> diff_simd_gnn_accumulate_vs_scalar(
   // slack for a future faithfully-rounded tier.
   return diff_floats_ulp(tier_pair_label("gnn apply_node output"),
                          scalar.data(), vector.data(), c.out, 2);
+}
+
+std::optional<std::string> diff_simd_gnn_projected_vs_scalar(
+    const GnnNodeCase& c) {
+  Rng rng(c.weight_seed);
+  gnn::GraphConv conv(c.in, c.out, rng,
+                      c.max_aggregation ? gnn::Aggregation::Max
+                                        : gnn::Aggregation::Mean);
+  const size_t out = static_cast<size_t>(c.out);
+  struct Run {
+    std::vector<float> proj;      ///< [degree + 1][out]: neighbors, then self
+    std::vector<float> two_step;  ///< apply_node_projected output
+    std::vector<float> one_step;  ///< apply_node output, same tier
+  };
+  auto run = [&] {
+    const size_t degree = c.neighbor_features.size();
+    Run r;
+    r.proj.resize((degree + 1) * out);
+    for (size_t j = 0; j < degree; ++j) {
+      conv.project(c.neighbor_features[j].data(), r.proj.data() + j * out);
+    }
+    conv.project(c.h_self.data(), r.proj.data() + degree * out);
+    std::vector<gnn::GraphConv::NeighborRef> raw(degree), projected(degree);
+    for (size_t j = 0; j < degree; ++j) {
+      raw[j] = {c.neighbor_features[j].data(), c.offsets[j][0],
+                c.offsets[j][1], c.offsets[j][2]};
+      projected[j] = raw[j];
+      projected[j].features = r.proj.data() + j * out;
+    }
+    r.two_step.resize(out);
+    r.one_step.resize(out);
+    conv.apply_node_projected(c.h_self.data(), projected, r.two_step.data());
+    conv.apply_node(c.h_self.data(), raw, r.one_step.data());
+    return r;
+  };
+  const Run scalar = with_simd_tier(simd::Tier::Scalar, run);
+  const Run vector = with_simd_tier(simd::detect_best(), run);
+  if (auto d = diff_floats_ulp(tier_pair_label("gnn projection"),
+                               scalar.proj.data(), vector.proj.data(),
+                               static_cast<Index>(scalar.proj.size()), 0)) {
+    return d;
+  }
+  if (auto d = diff_floats_ulp(tier_pair_label("gnn projected apply"),
+                               scalar.two_step.data(), vector.two_step.data(),
+                               c.out, 0)) {
+    return d;
+  }
+  // Within each tier the two-step pair must reproduce the one-step kernel.
+  for (const Run* r : {&scalar, &vector}) {
+    if (auto d = diff_floats_ulp(
+            std::string("gnn two-step vs one-step (") +
+                (r == &scalar ? "scalar" : "vector") + " tier)",
+            r->two_step.data(), r->one_step.data(), c.out, 0)) {
+      return d;
+    }
+  }
+  return std::nullopt;
+}
+
+// ---- GNN: two-step projection cache vs one-step recomputation -------------
+
+Gen<GnnAsyncCase> gnn_async_case_gen() {
+  Gen<GnnAsyncCase> gen;
+  gen.sample = [](Rng& rng) {
+    GnnAsyncCase c;
+    // Widths span full AVX2/NEON vectors and every tail length.
+    c.hidden = 1 + static_cast<Index>(rng.uniform_int(19));
+    c.layers = 1 + static_cast<Index>(rng.uniform_int(3));
+    c.weight_seed = rng.next_u64();
+    c.max_aggregation = rng.bernoulli(0.5);
+    c.bidirectional = rng.bernoulli(0.4);
+    const Index n = 2 + static_cast<Index>(rng.uniform_int(40));
+    const auto cap = 3 + static_cast<Index>(
+                             rng.uniform_int(static_cast<std::uint64_t>(n)));
+    c.node_cap = rng.bernoulli(0.3) ? cap : 0;
+    if (!c.bidirectional) {
+      const auto at =
+          static_cast<Index>(rng.uniform_int(static_cast<std::uint64_t>(n)));
+      c.checkpoint_at = rng.bernoulli(0.4) ? at : -1;
+      c.batch_every =
+          rng.bernoulli(0.3) ? 1 + static_cast<Index>(rng.uniform_int(4)) : 0;
+    }
+    for (Index i = 0; i < n; ++i) {
+      gnn::GraphNode node;
+      node.position = {static_cast<float>(rng.uniform(0.0, 8.0)),
+                       static_cast<float>(rng.uniform(0.0, 8.0)),
+                       static_cast<float>(rng.uniform(0.0, 2.0))};
+      node.polarity_sign = rng.bernoulli(0.5) ? 1 : -1;
+      node.t = i;
+      c.nodes.push_back(node);
+      // Distinct earlier ids of the current graph (ids restart at reset()).
+      const Index local = c.node_cap > 0 ? i % c.node_cap : i;
+      std::vector<Index> neighbors;
+      const Index want = static_cast<Index>(rng.uniform_int(7));
+      for (Index j = local - 1;
+           j >= 0 && static_cast<Index>(neighbors.size()) < want; --j) {
+        if (rng.bernoulli(0.6)) neighbors.push_back(j);
+      }
+      c.neighbors.push_back(std::move(neighbors));
+    }
+    return c;
+  };
+  gen.shrink = [](const GnnAsyncCase& c) {
+    std::vector<GnnAsyncCase> out;
+    auto with = [&](auto edit) {
+      GnnAsyncCase candidate = c;
+      edit(candidate);
+      out.push_back(std::move(candidate));
+    };
+    // Truncation keeps every neighbour list valid (ids point backwards).
+    if (c.nodes.size() > 2) {
+      with([](GnnAsyncCase& k) {
+        k.nodes.resize(k.nodes.size() / 2);
+        k.neighbors.resize(k.nodes.size());
+      });
+    }
+    if (c.nodes.size() > 1) {
+      with([](GnnAsyncCase& k) {
+        k.nodes.pop_back();
+        k.neighbors.pop_back();
+      });
+    }
+    if (c.node_cap > 0) with([](GnnAsyncCase& k) { k.node_cap = 0; });
+    if (c.checkpoint_at >= 0) {
+      with([](GnnAsyncCase& k) { k.checkpoint_at = -1; });
+    }
+    if (c.batch_every > 0) with([](GnnAsyncCase& k) { k.batch_every = 0; });
+    if (c.layers > 1) with([](GnnAsyncCase& k) { --k.layers; });
+    for (size_t i = 0; i < c.neighbors.size(); ++i) {
+      if (c.neighbors[i].empty()) continue;
+      with([i](GnnAsyncCase& k) { k.neighbors[i].pop_back(); });
+    }
+    return out;
+  };
+  gen.show = [](const GnnAsyncCase& c) {
+    std::ostringstream os;
+    os << "async gnn nodes=" << c.nodes.size() << " hidden=" << c.hidden
+       << " layers=" << c.layers
+       << " agg=" << (c.max_aggregation ? "max" : "mean")
+       << (c.bidirectional ? " bidirectional" : " causal")
+       << " node_cap=" << c.node_cap << " checkpoint_at=" << c.checkpoint_at
+       << " batch_every=" << c.batch_every
+       << " weight_seed=" << c.weight_seed;
+    return os.str();
+  };
+  return gen;
+}
+
+namespace {
+
+/// One-step reference for AsyncEventGnn: the same update discipline
+/// (causal fast path, bidirectional dirty-set propagation, change epsilon,
+/// running pools) over nested per-node vectors, every (node, layer)
+/// evaluated by GraphConv::apply_node on raw neighbour features.
+class DirectAsyncGnn {
+ public:
+  DirectAsyncGnn(gnn::EventGnn& model, bool bidirectional)
+      : model_(model),
+        bidirectional_(bidirectional),
+        features_(static_cast<size_t>(model.conv_count())),
+        pooled_sum_(static_cast<size_t>(model.config().hidden), 0.0),
+        pooled_max_(static_cast<size_t>(model.config().hidden), 0.0f) {}
+
+  gnn::AsyncGnnStats insert(const gnn::GraphNode& node,
+                            std::span<const Index> neighbors) {
+    const Index id = static_cast<Index>(nodes_.size());
+    nodes_.push_back(node);
+    adj_.emplace_back(neighbors.begin(), neighbors.end());
+    out_adj_.emplace_back();
+    input_.push_back({node.polarity_sign > 0 ? 1.0f : 0.0f,
+                      node.polarity_sign > 0 ? 0.0f : 1.0f});
+    for (Index l = 0; l < model_.conv_count(); ++l) {
+      features_[static_cast<size_t>(l)].emplace_back(
+          static_cast<size_t>(model_.conv(l).out_features()), 0.0f);
+    }
+    for (const Index j : neighbors) {
+      if (bidirectional_) {
+        out_adj_[static_cast<size_t>(j)].push_back(id);
+        adj_[static_cast<size_t>(j)].push_back(id);
+        out_adj_.back().push_back(j);
+      }
+    }
+    gnn::AsyncGnnStats stats;
+    if (!bidirectional_) {
+      for (Index l = 0; l < model_.conv_count(); ++l) {
+        if (!recompute(l, id, stats)) break;
+      }
+      return stats;
+    }
+    std::unordered_set<Index> dirty;
+    dirty.insert(id);
+    for (const Index j : neighbors) dirty.insert(j);
+    for (Index l = 0; l < model_.conv_count(); ++l) {
+      std::unordered_set<Index> changed;
+      for (const Index v : dirty) {
+        if (recompute(l, v, stats)) changed.insert(v);
+      }
+      if (l + 1 == model_.conv_count()) break;
+      std::unordered_set<Index> next;
+      for (const Index v : changed) {
+        next.insert(v);
+        for (const Index w : out_adj_[static_cast<size_t>(v)]) next.insert(w);
+      }
+      if (next.empty()) break;
+      dirty = std::move(next);
+    }
+    return stats;
+  }
+
+  void reset() {
+    nodes_.clear();
+    adj_.clear();
+    out_adj_.clear();
+    input_.clear();
+    for (auto& layer : features_) layer.clear();
+    std::fill(pooled_sum_.begin(), pooled_sum_.end(), 0.0);
+    std::fill(pooled_max_.begin(), pooled_max_.end(), 0.0f);
+  }
+
+  nn::Tensor logits() {
+    const Index f = static_cast<Index>(pooled_sum_.size());
+    const Index n = static_cast<Index>(nodes_.size());
+    nn::Tensor pooled({2 * f});
+    for (Index k = 0; k < f && n > 0; ++k) {
+      pooled[k] = static_cast<float>(pooled_sum_[static_cast<size_t>(k)] /
+                                     static_cast<double>(n));
+      pooled[f + k] = pooled_max_[static_cast<size_t>(k)];
+    }
+    nn::Tensor out({model_.config().num_classes});
+    model_.head().forward_into(pooled, out);
+    return out;
+  }
+
+  const std::vector<float>& features(Index layer, Index v) const {
+    return features_[static_cast<size_t>(layer)][static_cast<size_t>(v)];
+  }
+  Index node_count() const { return static_cast<Index>(nodes_.size()); }
+
+ private:
+  bool recompute(Index layer, Index v, gnn::AsyncGnnStats& stats) {
+    const gnn::GraphConv& conv = model_.conv(layer);
+    const auto& neighbors = adj_[static_cast<size_t>(v)];
+    const auto& pv = nodes_[static_cast<size_t>(v)].position;
+    auto input = [&](Index u) {
+      return layer == 0 ? input_[static_cast<size_t>(u)].data()
+                        : features_[static_cast<size_t>(layer - 1)]
+                                   [static_cast<size_t>(u)]
+                                       .data();
+    };
+    std::vector<gnn::GraphConv::NeighborRef> refs;
+    for (const Index j : neighbors) {
+      const auto& pj = nodes_[static_cast<size_t>(j)].position;
+      refs.push_back({input(j), pj.x - pv.x, pj.y - pv.y, pj.z - pv.z});
+    }
+    std::vector<float> fresh(static_cast<size_t>(conv.out_features()));
+    conv.apply_node(input(v), refs, fresh.data());
+    stats.macs += conv.node_macs(static_cast<Index>(neighbors.size()));
+    ++stats.node_layer_recomputes;
+    auto& stored =
+        features_[static_cast<size_t>(layer)][static_cast<size_t>(v)];
+    bool changed = false;
+    for (size_t f = 0; f < fresh.size(); ++f) {
+      if (std::fabs(fresh[f] - stored[f]) > 1e-6f) changed = true;
+    }
+    if (changed && layer + 1 == model_.conv_count()) {
+      for (size_t f = 0; f < fresh.size(); ++f) {
+        pooled_sum_[f] += static_cast<double>(fresh[f]) - stored[f];
+        pooled_max_[f] = std::max(pooled_max_[f], fresh[f]);
+      }
+    }
+    if (changed) stored = fresh;
+    return changed;
+  }
+
+  gnn::EventGnn& model_;
+  bool bidirectional_;
+  std::vector<gnn::GraphNode> nodes_;
+  std::vector<std::vector<Index>> adj_, out_adj_;
+  std::vector<std::vector<float>> input_;
+  std::vector<std::vector<std::vector<float>>> features_;
+  std::vector<double> pooled_sum_;
+  std::vector<float> pooled_max_;
+};
+
+}  // namespace
+
+std::optional<std::string> diff_gnn_two_step_vs_direct(const GnnAsyncCase& c) {
+  return diff_gnn_two_step_vs_direct(
+      c, [](gnn::AsyncEventGnn& engine, const gnn::GraphNode& node,
+            std::span<const Index> neighbors) {
+        return engine.insert(node, neighbors);
+      });
+}
+
+std::optional<std::string> diff_gnn_two_step_vs_direct(
+    const GnnAsyncCase& c, const GnnInsertFn& insert) {
+  gnn::EventGnnConfig config;
+  config.hidden = c.hidden;
+  config.layers = c.layers;
+  config.num_classes = 3;
+  config.seed = c.weight_seed;
+  gnn::EventGnn model(config, c.max_aggregation ? gnn::Aggregation::Max
+                                                : gnn::Aggregation::Mean);
+  auto engine = std::make_unique<gnn::AsyncEventGnn>(model, c.bidirectional);
+  DirectAsyncGnn direct(model, c.bidirectional);
+  for (size_t i = 0; i < c.nodes.size(); ++i) {
+    const std::string at = "event " + std::to_string(i) + ": ";
+    if (c.node_cap > 0 && direct.node_count() >= c.node_cap) {
+      engine->reset();
+      direct.reset();
+    }
+    if (static_cast<Index>(i) == c.checkpoint_at) {
+      // Restore into a fresh engine: the projection cache must be rebuilt
+      // from the restored features alone.
+      std::vector<std::uint8_t> bytes;
+      fault::CheckpointWriter w(bytes, std::size_t{1} << 26);
+      engine->save(w);
+      engine = std::make_unique<gnn::AsyncEventGnn>(model, c.bidirectional);
+      fault::CheckpointReader r(bytes);
+      engine->load(r);
+      r.expect_end();
+    }
+    const bool batch = c.batch_every > 0 &&
+                       static_cast<Index>(i) % c.batch_every == 0;
+    const gnn::AsyncGnnStats got =
+        batch ? engine->insert_batch(c.nodes[i], c.neighbors[i])
+              : insert(*engine, c.nodes[i], c.neighbors[i]);
+    // insert_batch is bitwise-equal to insert in state, not in stats.
+    const gnn::AsyncGnnStats want = direct.insert(c.nodes[i], c.neighbors[i]);
+    if (!batch) {
+      if (auto d = diff_scalar(at + "one-step MAC count",
+                               static_cast<double>(got.macs),
+                               static_cast<double>(want.macs))) {
+        return d;
+      }
+    }
+    for (Index l = 0; l < c.layers; ++l) {
+      for (Index v = 0; v < direct.node_count(); ++v) {
+        const auto& expect = direct.features(l, v);
+        const auto actual = engine->features(l, v);
+        if (auto d = diff_floats_ulp(
+                at + "layer " + std::to_string(l) + " node " +
+                    std::to_string(v) + " features",
+                actual.data(), expect.data(),
+                static_cast<Index>(expect.size()), 0)) {
+          return d;
+        }
+      }
+    }
+    const nn::Tensor a = engine->logits();
+    const nn::Tensor b = direct.logits();
+    if (auto d = diff_floats_ulp(at + "logits", a.data(), b.data(), a.numel(),
+                                 0)) {
+      return d;
+    }
+  }
+  return std::nullopt;
 }
 
 // ---- hw -------------------------------------------------------------------
@@ -1509,6 +1869,19 @@ void register_builtin_oracles() {
         "Gathered neighbor-accumulate (apply_node) vs scalar within 2 ULPs "
         "(bitwise in practice)",
         gnn_node_case_gen(), diff_simd_gnn_accumulate_vs_scalar));
+    registry().add(make_diff_oracle<GnnNodeCase>(
+        "simd.gnn_projected_vs_scalar",
+        "Two-step graph-conv kernels (project + apply_node_projected) vs "
+        "scalar, and vs the one-step kernel within each tier (0 ULPs)",
+        gnn_node_case_gen(), diff_simd_gnn_projected_vs_scalar));
+    registry().add(make_diff_oracle<GnnAsyncCase>(
+        "gnn.two_step_vs_direct",
+        "AsyncEventGnn with its projection cache vs one-step apply_node "
+        "recomputation: causal and bidirectional, Max and Mean, reset() "
+        "recycling, insert_batch and checkpoint restore (0 ULPs)",
+        gnn_async_case_gen(), [](const GnnAsyncCase& c) {
+          return diff_gnn_two_step_vs_direct(c);
+        }));
     registry().add(make_diff_oracle<HwCase>(
         "hw.systolic_vs_naive",
         "Systolic-array model vs naive roll-up of the same counters",

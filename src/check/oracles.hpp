@@ -16,6 +16,11 @@
 //                                scalar (bitwise logits/membranes/spikes)
 //   simd.gnn_accumulate_vs_scalar  gathered neighbor accumulate vs scalar
 //                                (bounded-ULP; bitwise in practice)
+//   simd.gnn_projected_vs_scalar two-step project + projected apply vs
+//                                scalar, and vs one-step apply (bitwise)
+//   gnn.two_step_vs_direct       AsyncEventGnn's projection cache vs
+//                                one-step per-node apply_node recomputation
+//                                (bitwise, causal and bidirectional)
 //   runtime.multiplex_vs_sequential.{cnn,snn,gnn}
 //                                K sessions pumped through the
 //                                SessionManager on 4 workers vs the same op
@@ -59,11 +64,14 @@
 #pragma once
 
 #include <array>
+#include <functional>
 #include <optional>
+#include <span>
 
 #include "check/generators.hpp"
 #include "check/oracle.hpp"
 #include "common/parallel.hpp"
+#include "gnn/async_update.hpp"
 #include "hw/systolic.hpp"
 #include "hw/zero_skip.hpp"
 #include "nn/conv2d.hpp"
@@ -155,6 +163,42 @@ std::optional<std::string> diff_simd_snn_step_vs_scalar(const SnnNetCase& c);
 /// future faithfully-rounded tier would be granted).
 std::optional<std::string> diff_simd_gnn_accumulate_vs_scalar(
     const GnnNodeCase& c);
+
+/// The two-step kernels (GraphConv::project + apply_node_projected) under
+/// the scalar tier vs the best vector tier, and the two-step result vs
+/// one-step apply_node within each tier — all at 0 ULPs.
+std::optional<std::string> diff_simd_gnn_projected_vs_scalar(
+    const GnnNodeCase& c);
+
+// ---- GNN: two-step projection cache vs one-step recomputation -------------
+
+/// A generated insertion sequence for AsyncEventGnn over a model of
+/// `layers` graph convs of width `hidden`.
+struct GnnAsyncCase {
+  Index hidden = 4;
+  Index layers = 2;
+  std::uint64_t weight_seed = 1;
+  bool max_aggregation = true;
+  bool bidirectional = false;
+  Index node_cap = 0;        ///< reset() at this many nodes (0: never).
+  Index checkpoint_at = -1;  ///< Causal: save/load into a fresh engine first.
+  Index batch_every = 0;     ///< Causal: every k-th insert is insert_batch.
+  std::vector<gnn::GraphNode> nodes;
+  std::vector<std::vector<Index>> neighbors;  ///< Earlier ids, current graph.
+};
+
+Gen<GnnAsyncCase> gnn_async_case_gen();
+/// How the engine side inserts one node (the fault-injection self-test
+/// substitutes a faulty insert; the oracle uses AsyncEventGnn::insert).
+using GnnInsertFn = std::function<gnn::AsyncGnnStats(
+    gnn::AsyncEventGnn&, const gnn::GraphNode&, std::span<const Index>)>;
+/// AsyncEventGnn (two-step, cached projections) vs a one-step reference
+/// that evaluates every (node, layer) with GraphConv::apply_node on raw
+/// features: after every insert, every live node's features at every layer
+/// and the logits must match at 0 ULPs, and so must the one-step MAC count.
+std::optional<std::string> diff_gnn_two_step_vs_direct(const GnnAsyncCase& c);
+std::optional<std::string> diff_gnn_two_step_vs_direct(
+    const GnnAsyncCase& c, const GnnInsertFn& insert);
 
 // ---- hw: accelerator models vs naive counter roll-ups ---------------------
 

@@ -168,6 +168,9 @@ class CheckpointReader {
 
   void raw(void* data, std::size_t n) {
     check_available(n);
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (n == 0) return;
     std::memcpy(data, bytes_.data() + cursor_, n);
     cursor_ += n;
   }

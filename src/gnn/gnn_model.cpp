@@ -9,7 +9,7 @@
 
 namespace evd::gnn {
 
-EventGnn::EventGnn(EventGnnConfig config)
+EventGnn::EventGnn(EventGnnConfig config, Aggregation aggregation)
     : config_(config),
       rng_(config.seed),
       head_(2 * (config.layers > 0 ? config.hidden
@@ -17,7 +17,7 @@ EventGnn::EventGnn(EventGnnConfig config)
             config.num_classes, rng_) {
   Index in = EventGraph::kInputFeatures;
   for (Index l = 0; l < config_.layers; ++l) {
-    convs_.emplace_back(in, config_.hidden, rng_);
+    convs_.emplace_back(in, config_.hidden, rng_, aggregation);
     in = config_.hidden;
   }
 }
@@ -91,8 +91,12 @@ std::vector<nn::Param*> EventGnn::params() {
 }
 
 Index EventGnn::param_count() {
+  // Not through params(): handing out mutable conv handles marks their
+  // transposed-weight caches escaped, and every later apply_node/project
+  // would re-derive them. The pipelines' cost profiles call this.
   Index n = 0;
-  for (auto* p : params()) n += p->value.numel();
+  for (const auto& conv : convs_) n += conv.param_count();
+  for (auto* p : head_.params()) n += p->value.numel();
   return n;
 }
 

@@ -20,7 +20,10 @@ struct EventGnnConfig {
 
 class EventGnn {
  public:
-  explicit EventGnn(EventGnnConfig config);
+  /// `aggregation` selects every conv layer's neighbour reduction; the
+  /// pipelines use the Max default.
+  explicit EventGnn(EventGnnConfig config,
+                    Aggregation aggregation = Aggregation::Max);
 
   /// Forward a whole graph; returns logits [num_classes]. The readout is
   /// the concatenation of mean- and max-pooled final node features.

@@ -175,27 +175,59 @@ const GraphConv::TransposedWeights& GraphConv::ensure_transposed() const {
   });
 }
 
+namespace {
+
+// NeighborRef and simd::GnnNeighbor are layout twins so the neighbor
+// array can be handed to the dispatched kernels without repacking.
+static_assert(sizeof(simd::GnnNeighbor) == sizeof(GraphConv::NeighborRef));
+static_assert(offsetof(simd::GnnNeighbor, features) ==
+              offsetof(GraphConv::NeighborRef, features));
+static_assert(offsetof(simd::GnnNeighbor, dx) ==
+              offsetof(GraphConv::NeighborRef, dx));
+static_assert(offsetof(simd::GnnNeighbor, dy) ==
+              offsetof(GraphConv::NeighborRef, dy));
+static_assert(offsetof(simd::GnnNeighbor, dz) ==
+              offsetof(GraphConv::NeighborRef, dz));
+
+const simd::GnnNeighbor* as_kernel_neighbors(
+    std::span<const GraphConv::NeighborRef> neighbors) {
+  return reinterpret_cast<const simd::GnnNeighbor*>(neighbors.data());
+}
+
+float inverse_degree(std::span<const GraphConv::NeighborRef> neighbors) {
+  return neighbors.empty() ? 0.0f
+                           : 1.0f / static_cast<float>(neighbors.size());
+}
+
+}  // namespace
+
 void GraphConv::apply_node(const float* h_self,
                            std::span<const NeighborRef> neighbors,
                            float* out) const {
-  // NeighborRef and simd::GnnNeighbor are layout twins so the neighbor
-  // array can be handed to the dispatched kernel without repacking.
-  static_assert(sizeof(simd::GnnNeighbor) == sizeof(NeighborRef));
-  static_assert(offsetof(simd::GnnNeighbor, features) ==
-                offsetof(NeighborRef, features));
-  static_assert(offsetof(simd::GnnNeighbor, dx) == offsetof(NeighborRef, dx));
-  static_assert(offsetof(simd::GnnNeighbor, dy) == offsetof(NeighborRef, dy));
-  static_assert(offsetof(simd::GnnNeighbor, dz) == offsetof(NeighborRef, dz));
-  const float inv_deg =
-      neighbors.empty() ? 0.0f : 1.0f / static_cast<float>(neighbors.size());
   const TransposedWeights& t = ensure_transposed();
   simd::gnn_apply_node(w_self_.value.data(), t.self.data(),
                        w_nbr_.value.data(), t.nbr.data(),
                        bias_.value.data(), in_, out_, h_self,
-                       reinterpret_cast<const simd::GnnNeighbor*>(
-                           neighbors.data()),
+                       as_kernel_neighbors(neighbors),
                        static_cast<Index>(neighbors.size()),
-                       aggregation_ == Aggregation::Max, inv_deg, out);
+                       aggregation_ == Aggregation::Max,
+                       inverse_degree(neighbors), out);
+}
+
+void GraphConv::project(const float* h, float* proj) const {
+  const TransposedWeights& t = ensure_transposed();
+  simd::gnn_project(w_nbr_.value.data(), t.nbr.data(), in_, out_, h, proj);
+}
+
+void GraphConv::apply_node_projected(const float* h_self,
+                                     std::span<const NeighborRef> neighbors,
+                                     float* out) const {
+  const TransposedWeights& t = ensure_transposed();
+  simd::gnn_apply_node_projected(
+      w_self_.value.data(), t.self.data(), w_nbr_.value.data(), t.nbr.data(),
+      bias_.value.data(), in_, out_, h_self, as_kernel_neighbors(neighbors),
+      static_cast<Index>(neighbors.size()), aggregation_ == Aggregation::Max,
+      inverse_degree(neighbors), out);
 }
 
 }  // namespace evd::gnn

@@ -48,14 +48,33 @@ class GraphConv {
   void apply_node(const float* h_self, std::span<const NeighborRef> neighbors,
                   float* out) const;
 
+  /// Two-step evaluation (arXiv:2411.04269), bitwise-equal to apply_node.
+  /// Step one: the neighbour-side projection W_nbr[:, :in] · h of one
+  /// node's layer input, written to `proj` [out_features]. It depends on
+  /// that node alone, so a caller whose node inputs are immutable computes
+  /// it once per node instead of once per later neighbour.
+  void project(const float* h, float* proj) const;
+  /// Step two: apply_node with each neighbour's `features` pointing at its
+  /// project() output instead of its raw layer input. Per neighbour this
+  /// costs the 3 offset MACs per output plus the aggregation, not in + 3.
+  void apply_node_projected(const float* h_self,
+                            std::span<const NeighborRef> neighbors,
+                            float* out) const;
+
   std::vector<nn::Param*> params() {
     transposed_.mark_escaped();
     return {&w_self_, &w_nbr_, &bias_};
   }
+  /// Weight and bias count; unlike params(), leaves the derived caches
+  /// alone.
+  Index param_count() const noexcept {
+    return w_self_.value.numel() + w_nbr_.value.numel() + bias_.value.numel();
+  }
   Index in_features() const noexcept { return in_; }
   Index out_features() const noexcept { return out_; }
 
-  /// MACs for evaluating one node with `degree` in-neighbours.
+  /// MACs for evaluating one node with `degree` in-neighbours — the
+  /// paper's one-step count (apply_node), also for the two-step path.
   std::int64_t node_macs(Index degree) const noexcept {
     return out_ * (in_ + degree * (in_ + 3));
   }
@@ -77,11 +96,13 @@ class GraphConv {
   /// Build/refresh and return the transposed weight copies.
   const TransposedWeights& ensure_transposed() const;
 
-  // Transposed weight copies feeding the per-event kernel's contiguous path
-  // (simd::gnn_apply_node's w_*_t): per-feature weight columns become
-  // sequential row reads instead of strided gathers. mutable because
-  // apply_node() is const and may run from concurrent sessions; see
-  // DerivedCache for the build-once / escaped-handle rebuild protocol.
+  // Transposed weight copies feeding the per-event kernels' contiguous path
+  // (the w_*_t of simd::gnn_apply_node and its two-step pair): per-feature
+  // weight columns become sequential row reads instead of strided gathers.
+  // mutable because
+  // apply_node() and friends are const and may run from concurrent
+  // sessions; see DerivedCache for the build-once / escaped-handle rebuild
+  // protocol.
   mutable DerivedCache<TransposedWeights> transposed_;
 
   const EventGraph* cached_graph_ = nullptr;

@@ -26,7 +26,7 @@ IncrementalGraphBuilder::IncrementalGraphBuilder(Index width, Index height,
   // radius/time_scale microseconds in the past.
   horizon_us_ = static_cast<TimeUs>(
       static_cast<double>(config_.radius) / config_.time_scale) + 1;
-  within_.reserve(static_cast<size_t>(9 * config_.cell_capacity));
+  within_.resize(static_cast<size_t>(9 * config_.cell_capacity));
 }
 
 void IncrementalGraphBuilder::clear() {
@@ -63,10 +63,22 @@ void IncrementalGraphBuilder::load(fault::CheckpointReader& r) {
                     "/" + std::to_string(config_.cell_capacity));
   }
   r.pod_vector(nodes_);
+  // The ring walk in insert_into indexes by these fields unchecked.
+  const auto node_count = static_cast<Index>(nodes_.size());
   for (Cell& cell : cells_) {
     r.pod_vector(cell.ids);
     cell.cursor = r.i64();
     cell.count = r.i64();
+    const bool ring_ok =
+        static_cast<Index>(cell.ids.size()) == cap && cell.cursor >= 0 &&
+        cell.cursor < cap && cell.count >= 0 && cell.count <= cap &&
+        std::all_of(cell.ids.begin(), cell.ids.end(), [&](Index id) {
+          return id >= -1 && id < node_count;
+        });
+    if (!ring_ok) {
+      throw Error(ErrorCode::CheckpointCorrupt,
+                  "IncrementalGraphBuilder: malformed cell ring");
+    }
   }
 }
 
@@ -91,10 +103,12 @@ Index IncrementalGraphBuilder::insert_into(const events::Event& event,
                                            std::vector<Index>& out_neighbors,
                                            Index* candidates_scanned) {
   out_neighbors.clear();
-  within_.clear();
+  size_t in_radius = 0;
   Index scanned = 0;
   const Point3 p = embed(event, config_.time_scale);
   const float r2 = config_.radius * config_.radius;
+  const auto keep =
+      static_cast<size_t>(std::max<Index>(config_.max_neighbors, 0));
 
   const Index cx = static_cast<Index>(static_cast<float>(event.x) / cell_size_);
   const Index cy = static_cast<Index>(static_cast<float>(event.y) / cell_size_);
@@ -108,11 +122,12 @@ Index IncrementalGraphBuilder::insert_into(const events::Event& event,
       const Index nx = cx + dx;
       if (nx < 0 || nx >= grid_w_) continue;
       const Cell& cell = cell_at(nx, ny);
+      // Newest-first ring walk: slot cursor-1, cursor-2, ..., wrapping
+      // from 0 to cell_capacity-1.
+      Index slot = cell.cursor;
       for (Index k = 0; k < cell.count; ++k) {
-        const Index id =
-            cell.ids[static_cast<size_t>((cell.cursor - 1 - k +
-                                          2 * config_.cell_capacity) %
-                                         config_.cell_capacity)];
+        slot = (slot == 0 ? config_.cell_capacity : slot) - 1;
+        const Index id = cell.ids[static_cast<size_t>(slot)];
         if (id < 0) continue;
         const auto& candidate = nodes_[static_cast<size_t>(id)];
         ++scanned;
@@ -120,15 +135,21 @@ Index IncrementalGraphBuilder::insert_into(const events::Event& event,
         // horizon, everything older in this cell is too.
         if (event.t - candidate.t > horizon_us_) break;
         const float d2 = squared_distance(candidate.position, p);
-        if (d2 <= r2) within_.emplace_back(d2, id);
+        // Branch-free append: the slot is always written and kept only
+        // when in radius (at most 9 * cell_capacity slots are ever used).
+        within_[in_radius] = {d2, id};
+        in_radius += (d2 <= r2) ? 1 : 0;
       }
     }
   }
-  std::sort(within_.begin(), within_.end());
-  if (static_cast<Index>(within_.size()) > config_.max_neighbors) {
-    within_.resize(static_cast<size_t>(config_.max_neighbors));
-  }
-  for (const auto& [d2, id] : within_) out_neighbors.push_back(id);
+  // Only the max_neighbors nearest survive, so order just that prefix.
+  // Ids are unique, so (d2, id) is a total order and the prefix is exactly
+  // that of a full sort.
+  const size_t kept = std::min(in_radius, keep);
+  const auto begin = within_.begin();
+  std::partial_sort(begin, begin + static_cast<std::ptrdiff_t>(kept),
+                    begin + static_cast<std::ptrdiff_t>(in_radius));
+  for (size_t i = 0; i < kept; ++i) out_neighbors.push_back(within_[i].second);
 
   // Append the node and register it in its cell's ring buffer.
   GraphNode node;

@@ -97,7 +97,8 @@ class IncrementalGraphBuilder {
   std::vector<Cell> cells_;
   std::vector<GraphNode> nodes_;
   TimeUs horizon_us_;
-  /// Scratch for insert_into (candidates from <= 9 cells); reserved once.
+  /// Scratch for insert_into: one (d2, id) slot per candidate a 3x3 cell
+  /// scan can reach; sized once.
   std::vector<std::pair<float, Index>> within_;
 };
 

@@ -105,4 +105,59 @@ void gnn_apply_node(const float* w_self, const float* w_self_t,
                                 inv_degree, out);
 }
 
+void gnn_project(const float* w_nbr, const float* w_nbr_t, Index in_dim,
+                 Index out_dim, const float* h, float* proj) {
+  if (w_nbr_t != nullptr || in_dim + 3 <= kMaxGatherStride) {
+    switch (active_tier()) {
+#if defined(EVD_SIMD_HAVE_AVX2)
+      case Tier::Avx2:
+        detail::gnn_project_avx2(w_nbr, w_nbr_t, in_dim, out_dim, h, proj);
+        return;
+#endif
+#if defined(EVD_SIMD_HAVE_NEON)
+      case Tier::Neon:
+        detail::gnn_project_neon(w_nbr, w_nbr_t, in_dim, out_dim, h, proj);
+        return;
+#endif
+      default: break;
+    }
+  }
+  detail::gnn_project_scalar(w_nbr, in_dim, 0, out_dim, h, proj);
+}
+
+void gnn_apply_node_projected(const float* w_self, const float* w_self_t,
+                              const float* w_nbr, const float* w_nbr_t,
+                              const float* bias, Index in_dim, Index out_dim,
+                              const float* h_self,
+                              const GnnNeighbor* neighbors,
+                              Index neighbor_count, bool max_aggregation,
+                              float inv_degree, float* out) {
+  const bool transposed = w_self_t != nullptr && w_nbr_t != nullptr;
+  if (transposed || in_dim + 3 <= kMaxGatherStride) {
+    switch (active_tier()) {
+#if defined(EVD_SIMD_HAVE_AVX2)
+      case Tier::Avx2:
+        detail::gnn_apply_node_projected_avx2(
+            w_self, transposed ? w_self_t : nullptr, w_nbr,
+            transposed ? w_nbr_t : nullptr, bias, in_dim, out_dim, h_self,
+            neighbors, neighbor_count, max_aggregation, inv_degree, out);
+        return;
+#endif
+#if defined(EVD_SIMD_HAVE_NEON)
+      case Tier::Neon:
+        detail::gnn_apply_node_projected_neon(
+            w_self, transposed ? w_self_t : nullptr, w_nbr,
+            transposed ? w_nbr_t : nullptr, bias, in_dim, out_dim, h_self,
+            neighbors, neighbor_count, max_aggregation, inv_degree, out);
+        return;
+#endif
+      default: break;
+    }
+  }
+  detail::gnn_apply_node_projected_scalar(w_self, w_nbr, bias, in_dim, 0,
+                                          out_dim, h_self, neighbors,
+                                          neighbor_count, max_aggregation,
+                                          inv_degree, out);
+}
+
 }  // namespace evd::simd

@@ -1,11 +1,14 @@
-// Dispatching entry points for the three traced hot-span kernels:
+// Dispatching entry points for the traced hot-span kernels:
 //
 //   * conv_gemm_block  — the blocked-GEMM microkernel behind
 //                        `cnn.conv_forward` (Conv2d::forward_gemm);
 //   * lif_step_block   — the LIF membrane update + threshold/spike scatter
 //                        behind `snn.step` (SpikingNet::step/forward);
-//   * gnn_apply_node   — the neighbor-accumulate inner loop behind
-//                        `gnn.message_pass` (GraphConv::apply_node).
+//   * gnn_project +    — the two-step graph convolution behind
+//     gnn_apply_node_    `gnn.message_pass` (GraphConv::project /
+//     projected          apply_node_projected, served by AsyncEventGnn);
+//   * gnn_apply_node   — the one-step neighbor-accumulate reference it is
+//                        proved against (GraphConv::apply_node).
 //
 // Each entry point consults simd::active_tier() and forwards to the scalar,
 // AVX2 or NEON build of the same arithmetic. All tiers are bit-identical:
@@ -88,6 +91,26 @@ void gnn_apply_node(const float* w_self, const float* w_self_t,
                     Index neighbor_count, bool max_aggregation,
                     float inv_degree, float* out);
 
+// Two-step form of gnn_apply_node (arXiv:2411.04269). Step one projects a
+// node's layer input through the feature columns of the neighbour matrix:
+//   proj[o] = sum_f w_nbr[o*(in+3) + f] * h[f]      for o in [0, out_dim)
+// accumulated from +0.0f in ascending f — exactly the prefix of the c_j,o
+// chain above. Step two is gnn_apply_node with each neighbour's `features`
+// pointing at its cached projection ([out_dim]) instead of its raw input:
+//   c_j,o = proj_j[o] + ((w_nbr[.. in+0]*dx_j + [.. in+1]*dy_j)
+//                        + [.. in+2]*dz_j)
+// which is the one-step c_j,o operation for operation, so the pair is
+// bitwise-equal to gnn_apply_node. `w_nbr_t` is the same transposed copy.
+void gnn_project(const float* w_nbr, const float* w_nbr_t, Index in_dim,
+                 Index out_dim, const float* h, float* proj);
+void gnn_apply_node_projected(const float* w_self, const float* w_self_t,
+                              const float* w_nbr, const float* w_nbr_t,
+                              const float* bias, Index in_dim, Index out_dim,
+                              const float* h_self,
+                              const GnnNeighbor* neighbors,
+                              Index neighbor_count, bool max_aggregation,
+                              float inv_degree, float* out);
+
 namespace detail {
 
 // Per-tier builds. The AVX2/NEON symbols exist only when the build carries
@@ -108,6 +131,18 @@ void gnn_apply_node_scalar(const float* w_self, const float* w_nbr,
                            const float* h_self, const GnnNeighbor* neighbors,
                            Index neighbor_count, bool max_aggregation,
                            float inv_degree, float* out);
+// The two-step references compute outputs [o_begin, out_dim) of the full
+// arrays, so the vector tiers can hand them their lane tail unchanged.
+void gnn_project_scalar(const float* w_nbr, Index in_dim, Index o_begin,
+                        Index out_dim, const float* h, float* proj);
+void gnn_apply_node_projected_scalar(const float* w_self, const float* w_nbr,
+                                     const float* bias, Index in_dim,
+                                     Index o_begin, Index out_dim,
+                                     const float* h_self,
+                                     const GnnNeighbor* neighbors,
+                                     Index neighbor_count,
+                                     bool max_aggregation, float inv_degree,
+                                     float* out);
 
 #if defined(EVD_SIMD_HAVE_AVX2)
 void conv_gemm_block_avx2(const float* w, const float* bias, const float* col,
@@ -125,6 +160,17 @@ void gnn_apply_node_avx2(const float* w_self, const float* w_self_t,
                          const float* h_self, const GnnNeighbor* neighbors,
                          Index neighbor_count, bool max_aggregation,
                          float inv_degree, float* out);
+void gnn_project_avx2(const float* w_nbr, const float* w_nbr_t,
+                      Index in_dim, Index out_dim, const float* h,
+                      float* proj);
+void gnn_apply_node_projected_avx2(const float* w_self,
+                                   const float* w_self_t, const float* w_nbr,
+                                   const float* w_nbr_t, const float* bias,
+                                   Index in_dim, Index out_dim,
+                                   const float* h_self,
+                                   const GnnNeighbor* neighbors,
+                                   Index neighbor_count, bool max_aggregation,
+                                   float inv_degree, float* out);
 #endif
 
 #if defined(EVD_SIMD_HAVE_NEON)
@@ -143,6 +189,17 @@ void gnn_apply_node_neon(const float* w_self, const float* w_self_t,
                          const float* h_self, const GnnNeighbor* neighbors,
                          Index neighbor_count, bool max_aggregation,
                          float inv_degree, float* out);
+void gnn_project_neon(const float* w_nbr, const float* w_nbr_t,
+                      Index in_dim, Index out_dim, const float* h,
+                      float* proj);
+void gnn_apply_node_projected_neon(const float* w_self,
+                                   const float* w_self_t, const float* w_nbr,
+                                   const float* w_nbr_t, const float* bias,
+                                   Index in_dim, Index out_dim,
+                                   const float* h_self,
+                                   const GnnNeighbor* neighbors,
+                                   Index neighbor_count, bool max_aggregation,
+                                   float inv_degree, float* out);
 #endif
 
 }  // namespace detail

@@ -1,8 +1,9 @@
-// Scalar reference builds of the three hot-span kernels. These are the
-// loops the vector tiers are proved equivalent against (oracles
-// simd.conv_vs_scalar / simd.snn_step_vs_scalar /
-// simd.gnn_accumulate_vs_scalar), lifted verbatim from the pre-simd
-// Conv2d::forward_gemm, SpikingNet::step and GraphConv::apply_node bodies.
+// Scalar reference builds of the hot-span kernels. These are the loops the
+// vector tiers are proved equivalent against (oracles simd.conv_vs_scalar /
+// simd.snn_step_vs_scalar / simd.gnn_accumulate_vs_scalar /
+// simd.gnn_projected_vs_scalar), lifted verbatim from the pre-simd
+// Conv2d::forward_gemm, SpikingNet::step and GraphConv::apply_node bodies;
+// the two-step GNN pair splits the apply_node neighbour chain in two.
 // Keep them boring: no manual vector code, no reassociation — per-output
 // accumulation order is the contract.
 #include <algorithm>
@@ -75,6 +76,51 @@ void gnn_apply_node_scalar(const float* w_self, const float* w_nbr,
       const GnnNeighbor& nb = neighbors[j];
       float contrib = 0.0f;
       for (Index f = 0; f < in_dim; ++f) contrib += wn[f] * nb.features[f];
+      contrib += wn[in_dim + 0] * nb.dx + wn[in_dim + 1] * nb.dy +
+                 wn[in_dim + 2] * nb.dz;
+      if (max_aggregation) {
+        if (!has_msg || contrib > msg) {
+          msg = contrib;
+          has_msg = true;
+        }
+      } else {
+        msg += contrib;
+      }
+    }
+    const float pre = max_aggregation ? acc + (has_msg ? msg : 0.0f)
+                                      : acc + inv_degree * msg;
+    out[o] = pre > 0.0f ? pre : 0.0f;
+  }
+}
+
+void gnn_project_scalar(const float* w_nbr, Index in_dim, Index o_begin,
+                        Index out_dim, const float* h, float* proj) {
+  for (Index o = o_begin; o < out_dim; ++o) {
+    const float* wn = w_nbr + o * (in_dim + 3);
+    float c = 0.0f;
+    for (Index f = 0; f < in_dim; ++f) c += wn[f] * h[f];
+    proj[o] = c;
+  }
+}
+
+void gnn_apply_node_projected_scalar(const float* w_self, const float* w_nbr,
+                                     const float* bias, Index in_dim,
+                                     Index o_begin, Index out_dim,
+                                     const float* h_self,
+                                     const GnnNeighbor* neighbors,
+                                     Index neighbor_count,
+                                     bool max_aggregation, float inv_degree,
+                                     float* out) {
+  for (Index o = o_begin; o < out_dim; ++o) {
+    float acc = bias[o];
+    const float* ws = w_self + o * in_dim;
+    for (Index f = 0; f < in_dim; ++f) acc += ws[f] * h_self[f];
+    float msg = 0.0f;
+    bool has_msg = false;
+    const float* wn = w_nbr + o * (in_dim + 3);
+    for (Index j = 0; j < neighbor_count; ++j) {
+      const GnnNeighbor& nb = neighbors[j];
+      float contrib = nb.features[o];
       contrib += wn[in_dim + 0] * nb.dx + wn[in_dim + 1] * nb.dy +
                  wn[in_dim + 2] * nb.dz;
       if (max_aggregation) {

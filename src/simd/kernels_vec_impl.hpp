@@ -1,4 +1,4 @@
-// Width-generic vector builds of the three hot-span kernels, written once
+// Width-generic vector builds of the hot-span kernels, written once
 // against the VecF abstraction (vec.hpp) and compiled per tier by
 // kernels_avx2.cpp / kernels_neon.cpp. Include vec.hpp (with the tier
 // macro set) before this header.
@@ -201,16 +201,56 @@ inline void lif_step_block(float* v, const float* b, const float* w,
 }
 
 // --- gnn.message_pass: neighbor accumulate ----------------------------------
-// One body, two weight-column loaders: `self_col(f, o)` / `nbr_col(f, o)`
-// return the vector of weights feeding outputs o..o+W-1 from input feature f
-// (f in [0, in_dim+3) for the neighbor matrix — the last three are the
-// spatiotemporal offset columns). The transposed loader is a contiguous
-// load, the fallback a strided gather; the arithmetic around them is
-// identical.
-template <typename SelfCol, typename NbrCol>
+// `self_col(f, o)` / `nbr_col(f, o)` return the vector of weights feeding
+// outputs o..o+W-1 from input feature f (f in [0, in_dim+3) for the neighbor
+// matrix — the last three are the spatiotemporal offset columns). The
+// transposed loader is a contiguous load, the fallback a strided gather;
+// the arithmetic around them is identical. with_gnn_cols picks the pair.
+template <typename Fn>
+inline void with_gnn_cols(const float* w_self, const float* w_self_t,
+                          const float* w_nbr, const float* w_nbr_t,
+                          Index in_dim, Index out_dim, Fn fn) {
+  if (w_self_t != nullptr && w_nbr_t != nullptr) {
+    fn(
+        [w_self_t, out_dim](Index f, Index o) {
+          return VecF::load(w_self_t + f * out_dim + o);
+        },
+        [w_nbr_t, out_dim](Index f, Index o) {
+          return VecF::load(w_nbr_t + f * out_dim + o);
+        });
+  } else {
+    const VecI self_stride = VecI::lane_stride(in_dim);
+    const VecI nbr_stride = VecI::lane_stride(in_dim + 3);
+    fn(
+        [w_self, in_dim, &self_stride](Index f, Index o) {
+          return VecF::gather(w_self + o * in_dim + f, self_stride);
+        },
+        [w_nbr, in_dim, &nbr_stride](Index f, Index o) {
+          return VecF::gather(w_nbr + o * (in_dim + 3) + f, nbr_stride);
+        });
+  }
+}
+
+// W outputs of the neighbour-side projection: +0.0f, then w·h in ascending
+// f — the prefix of the scalar reference's contrib chain.
+template <typename NbrCol>
+inline VecF gnn_project_vec(NbrCol nbr_col, Index in_dim, const float* h,
+                            Index o) {
+  VecF c = VecF::zero();
+  for (Index f = 0; f < in_dim; ++f) {
+    c = VecF::add(c, VecF::mul(nbr_col(f, o), VecF::broadcast(h[f])));
+  }
+  return c;
+}
+
+// One body for both forms: `nbr_base(nb, o)` returns neighbor nb's
+// contribution to outputs o..o+W-1 before the offset term — the in-kernel
+// projection chain on the one-step path, a load of the cached projection
+// on the two-step path.
+template <typename SelfCol, typename NbrCol, typename NbrBase>
 inline void gnn_apply_node_body(SelfCol self_col, NbrCol nbr_col,
-                                const float* bias, Index in_dim,
-                                Index out_dim, const float* h_self,
+                                NbrBase nbr_base, const float* bias,
+                                Index in_dim, const float* h_self,
                                 const GnnNeighbor* neighbors,
                                 Index neighbor_count, bool max_aggregation,
                                 float inv_degree, float* out,
@@ -229,11 +269,7 @@ inline void gnn_apply_node_body(SelfCol self_col, NbrCol nbr_col,
     VecF msg = vzero;
     for (Index j = 0; j < neighbor_count; ++j) {
       const GnnNeighbor& nb = neighbors[j];
-      VecF contrib = vzero;
-      for (Index f = 0; f < in_dim; ++f) {
-        contrib = VecF::add(
-            contrib, VecF::mul(nbr_col(f, o), VecF::broadcast(nb.features[f])));
-      }
+      VecF contrib = nbr_base(nb, o);
       // One expression in the scalar reference — keep its tree:
       // contrib += (wx*dx + wy*dy) + wz*dz.
       const VecF off = VecF::add(
@@ -268,35 +304,83 @@ inline void gnn_apply_node(const float* w_self, const float* w_self_t,
                            float inv_degree, float* out) {
   constexpr Index W = VecF::kWidth;
   const Index vec_end = (out_dim / W) * W;
-  if (w_self_t != nullptr && w_nbr_t != nullptr) {
-    gnn_apply_node_body(
-        [w_self_t, out_dim](Index f, Index o) {
-          return VecF::load(w_self_t + f * out_dim + o);
-        },
-        [w_nbr_t, out_dim](Index f, Index o) {
-          return VecF::load(w_nbr_t + f * out_dim + o);
-        },
-        bias, in_dim, out_dim, h_self, neighbors, neighbor_count,
-        max_aggregation, inv_degree, out, vec_end);
-  } else {
-    const VecI self_stride = VecI::lane_stride(in_dim);
-    const VecI nbr_stride = VecI::lane_stride(in_dim + 3);
-    gnn_apply_node_body(
-        [w_self, in_dim, &self_stride](Index f, Index o) {
-          return VecF::gather(w_self + o * in_dim + f, self_stride);
-        },
-        [w_nbr, in_dim, &nbr_stride](Index f, Index o) {
-          return VecF::gather(w_nbr + o * (in_dim + 3) + f, nbr_stride);
-        },
-        bias, in_dim, out_dim, h_self, neighbors, neighbor_count,
-        max_aggregation, inv_degree, out, vec_end);
-  }
+  with_gnn_cols(
+      w_self, w_self_t, w_nbr, w_nbr_t, in_dim, out_dim,
+      [&](auto self_col, auto nbr_col) {
+        gnn_apply_node_body(
+            self_col, nbr_col,
+            [&nbr_col, in_dim](const GnnNeighbor& nb, Index o) {
+              return gnn_project_vec(nbr_col, in_dim, nb.features, o);
+            },
+            bias, in_dim, h_self, neighbors, neighbor_count,
+            max_aggregation, inv_degree, out, vec_end);
+      });
   if (vec_end < out_dim) {
     gnn_apply_node_scalar(w_self + vec_end * in_dim,
                           w_nbr + vec_end * (in_dim + 3), bias + vec_end,
                           in_dim, out_dim - vec_end, h_self, neighbors,
                           neighbor_count, max_aggregation, inv_degree,
                           out + vec_end);
+  }
+}
+
+// --- gnn.message_pass, two-step form ----------------------------------------
+inline void gnn_project(const float* w_nbr, const float* w_nbr_t,
+                        Index in_dim, Index out_dim, const float* h,
+                        float* proj) {
+  constexpr Index W = VecF::kWidth;
+  const Index vec_end = (out_dim / W) * W;
+  if (w_nbr_t != nullptr) {
+    for (Index o = 0; o < vec_end; o += W) {
+      gnn_project_vec(
+          [w_nbr_t, out_dim](Index f, Index o2) {
+            return VecF::load(w_nbr_t + f * out_dim + o2);
+          },
+          in_dim, h, o)
+          .store(proj + o);
+    }
+  } else {
+    const VecI nbr_stride = VecI::lane_stride(in_dim + 3);
+    for (Index o = 0; o < vec_end; o += W) {
+      gnn_project_vec(
+          [w_nbr, in_dim, &nbr_stride](Index f, Index o2) {
+            return VecF::gather(w_nbr + o2 * (in_dim + 3) + f, nbr_stride);
+          },
+          in_dim, h, o)
+          .store(proj + o);
+    }
+  }
+  if (vec_end < out_dim) {
+    gnn_project_scalar(w_nbr, in_dim, vec_end, out_dim, h, proj);
+  }
+}
+
+inline void gnn_apply_node_projected(const float* w_self,
+                                     const float* w_self_t,
+                                     const float* w_nbr, const float* w_nbr_t,
+                                     const float* bias, Index in_dim,
+                                     Index out_dim, const float* h_self,
+                                     const GnnNeighbor* neighbors,
+                                     Index neighbor_count,
+                                     bool max_aggregation, float inv_degree,
+                                     float* out) {
+  constexpr Index W = VecF::kWidth;
+  const Index vec_end = (out_dim / W) * W;
+  with_gnn_cols(w_self, w_self_t, w_nbr, w_nbr_t, in_dim, out_dim,
+                [&](auto self_col, auto nbr_col) {
+                  gnn_apply_node_body(
+                      self_col, nbr_col,
+                      [](const GnnNeighbor& nb, Index o) {
+                        return VecF::load(nb.features + o);
+                      },
+                      bias, in_dim, h_self, neighbors, neighbor_count,
+                      max_aggregation, inv_degree, out, vec_end);
+                });
+  if (vec_end < out_dim) {
+    gnn_apply_node_projected_scalar(w_self, w_nbr, bias, in_dim, vec_end,
+                                    out_dim, h_self, neighbors,
+                                    neighbor_count, max_aggregation,
+                                    inv_degree, out);
   }
 }
 

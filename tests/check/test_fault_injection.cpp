@@ -15,6 +15,18 @@
 #include "gnn/kdtree.hpp"
 #include "hw/zero_skip.hpp"
 
+namespace evd::gnn {
+
+// Reaches into the engine's projection cache so a test can make one entry
+// stale, as a missed refresh would.
+struct AsyncEventGnnTestPeer {
+  static std::vector<float>& projections(AsyncEventGnn& engine, Index layer) {
+    return engine.proj_[static_cast<size_t>(layer)];
+  }
+};
+
+}  // namespace evd::gnn
+
 namespace evd::check {
 namespace {
 
@@ -110,6 +122,48 @@ TEST(FaultInjectionTest, PerturbedGnnRadiusShrinksToAWitnessPair) {
   EXPECT_EQ(result.minimal->stream.size(), 2)
       << result.report.counterexample;
   EXPECT_GT(result.report.shrink_steps, 0);
+}
+
+// ---- GNN: skip one projection-cache refresh (bidirectional) ---------------
+
+TEST(FaultInjectionTest, SkippedProjectionRefreshIsCaught) {
+  // Bidirectional insertion recomputes earlier nodes, and each stored
+  // change must refresh that node's next-layer projection. The faulty
+  // insert undoes the first such refresh of an existing node, leaving its
+  // cached projection stale for every later neighbour that reads it.
+  auto faulty = [](GnnAsyncCase c) -> std::optional<std::string> {
+    c.bidirectional = true;
+    c.layers = std::max<Index>(c.layers, 2);
+    c.checkpoint_at = -1;
+    c.batch_every = 0;
+    const auto width = static_cast<size_t>(c.hidden);
+    bool injected = false;
+    return diff_gnn_two_step_vs_direct(
+        c, [&](gnn::AsyncEventGnn& engine, const gnn::GraphNode& node,
+               std::span<const Index> neighbors) {
+          const std::vector<float> before =
+              gnn::AsyncEventGnnTestPeer::projections(engine, 1);
+          const gnn::AsyncGnnStats stats = engine.insert(node, neighbors);
+          std::vector<float>& cache =
+              gnn::AsyncEventGnnTestPeer::projections(engine, 1);
+          // Rows of nodes that existed before this insert.
+          const size_t existing =
+              static_cast<size_t>(engine.node_count() - 1) * width;
+          for (size_t k = 0; !injected && k < existing; ++k) {
+            if (cache[k] == before[k]) continue;
+            const auto start = static_cast<std::ptrdiff_t>(k - k % width);
+            std::copy_n(before.begin() + start, width, cache.begin() + start);
+            injected = true;
+          }
+          return stats;
+        });
+  };
+  const auto result =
+      forall_typed(gnn_async_case_gen(), faulty, {.cases = 60});
+  ASSERT_FALSE(result.report.passed);
+  ASSERT_TRUE(result.minimal.has_value());
+  // A stale entry needs an earlier node to change and a later read of it.
+  EXPECT_GE(result.minimal->nodes.size(), 3u) << result.report.counterexample;
 }
 
 // ---- hw: double the utilization in the systolic mirror --------------------

@@ -35,7 +35,8 @@ TEST_F(OracleTest, RegistryHasAllBuiltinPairs) {
         "gnn.batch_vs_incremental", "par.cnn_conv_1_vs_4_threads",
         "par.snn_forward_1_vs_4_threads", "par.gnn_build_1_vs_4_threads",
         "simd.conv_vs_scalar", "simd.snn_step_vs_scalar",
-        "simd.gnn_accumulate_vs_scalar", "hw.systolic_vs_naive",
+        "simd.gnn_accumulate_vs_scalar", "simd.gnn_projected_vs_scalar",
+        "gnn.two_step_vs_direct", "hw.systolic_vs_naive",
         "hw.zero_skip_vs_naive", "runtime.multiplex_vs_sequential.cnn",
         "runtime.multiplex_vs_sequential.snn",
         "runtime.multiplex_vs_sequential.gnn", "runtime.obs_on_vs_off",
@@ -92,6 +93,14 @@ TEST_F(OracleTest, SimdSnnStepIsBitwiseVsScalar) {
 
 TEST_F(OracleTest, SimdGnnAccumulateMatchesScalar) {
   expect_passes("simd.gnn_accumulate_vs_scalar", 60);
+}
+
+TEST_F(OracleTest, SimdGnnProjectedIsBitwiseVsScalar) {
+  expect_passes("simd.gnn_projected_vs_scalar", 80);
+}
+
+TEST_F(OracleTest, GnnTwoStepMatchesDirectRecomputation) {
+  expect_passes("gnn.two_step_vs_direct", 80);
 }
 
 TEST_F(OracleTest, SystolicModelMatchesNaiveRollup) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "gnn/async_update.hpp"
 #include "gnn/graph_builder.hpp"
 #include "test_util.hpp"
@@ -119,6 +121,75 @@ TEST(AsyncEventGnn, BadNeighborIdThrows) {
   AsyncEventGnn async(model, false);
   EXPECT_THROW(async.insert({{0, 0, 0}, 1, 0}, std::vector<Index>{5}),
                std::invalid_argument);
+}
+
+// Byte offset of the first input row's floats in an AsyncEventGnn
+// checkpoint: count, conv count, node span, adjacency lists, then the
+// length prefix of input row 0.
+size_t first_input_row_offset(Index nodes,
+                              const std::vector<std::vector<Index>>& adj) {
+  size_t offset = 3 * sizeof(std::int64_t) +
+                  static_cast<size_t>(nodes) * sizeof(GraphNode);
+  for (const auto& a : adj) offset += sizeof(std::int64_t) + a.size() * 8;
+  return offset + sizeof(std::int64_t);
+}
+
+TEST(AsyncEventGnn, LoadRebuildsTheProjectionCacheAndRejectsCorruptBytes) {
+  EventGnn model(tiny_config());
+  const EventGraph graph = test_graph(60);
+  AsyncEventGnn async(model, false);
+  std::vector<std::vector<Index>> adj;
+  for (Index i = 0; i < 30; ++i) {
+    adj.emplace_back(graph.neighbors(i).begin(), graph.neighbors(i).end());
+    async.insert(graph.node(i), adj.back());
+  }
+  std::vector<std::uint8_t> bytes;
+  fault::CheckpointWriter w(bytes, std::size_t{1} << 24);
+  async.save(w);
+
+  // A restored engine continues bitwise like the original: its projections
+  // are rebuilt from the restored features, not read from the bytes.
+  AsyncEventGnn restored(model, false);
+  fault::CheckpointReader r(bytes);
+  restored.load(r);
+  r.expect_end();
+  for (Index i = 30; i < graph.node_count(); ++i) {
+    const std::vector<Index> neighbors(graph.neighbors(i).begin(),
+                                       graph.neighbors(i).end());
+    async.insert(graph.node(i), neighbors);
+    restored.insert(graph.node(i), neighbors);
+    const nn::Tensor a = async.logits();
+    const nn::Tensor b = restored.logits();
+    ASSERT_EQ(std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()), 0)
+        << "event " << i;
+  }
+
+  // A node count the bytes cannot hold is rejected before it sizes any
+  // storage.
+  std::vector<std::uint8_t> huge = bytes;
+  const std::int64_t count = std::int64_t{1} << 40;
+  std::memcpy(huge.data(), &count, sizeof(count));
+  AsyncEventGnn oversized(model, false);
+  fault::CheckpointReader big(huge);
+  try {
+    oversized.load(big);
+    FAIL() << "oversized node count accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::CheckpointCorrupt);
+  }
+
+  // An input row that is not the node's polarity one-hot is corrupt.
+  const size_t at = first_input_row_offset(30, adj);
+  const float half = 0.5f;
+  std::memcpy(bytes.data() + at, &half, sizeof(half));
+  AsyncEventGnn corrupt(model, false);
+  fault::CheckpointReader bad(bytes);
+  try {
+    corrupt.load(bad);
+    FAIL() << "corrupt input row accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::CheckpointCorrupt);
+  }
 }
 
 }  // namespace
