@@ -21,7 +21,9 @@
 #pragma once
 
 #include <exception>
-#include <functional>
+#include <memory>
+#include <mutex>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -68,9 +70,28 @@ inline Index chunk_count(Index begin, Index end, Index grain) noexcept {
 }
 
 namespace detail {
+/// Non-owning `void(Index)` callable: an object pointer plus a trampoline.
+/// Unlike std::function it never allocates, so a region whose chunks all
+/// succeed is allocation-free. Valid only while the referenced callable is.
+class ChunkFnRef {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, ChunkFnRef>>>
+  ChunkFnRef(F&& fn) noexcept  // NOLINT: implicit by design
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, Index c) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(c);
+        }) {}
+  void operator()(Index c) const { call_(obj_, c); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, Index);
+};
+
 /// Run chunk_fn(c) for c in [0, nchunks) across the pool. chunk_fn must not
 /// throw (template wrappers below capture exceptions per chunk).
-void for_each_chunk(Index nchunks, const std::function<void(Index)>& chunk_fn);
+void for_each_chunk(Index nchunks, ChunkFnRef chunk_fn);
 }  // namespace detail
 
 /// Chunked loop: fn(chunk_begin, chunk_end) over disjoint sub-ranges of
@@ -81,17 +102,21 @@ void parallel_for(Index begin, Index end, Index grain, Fn&& fn) {
   if (end <= begin) return;
   if (grain < 1) grain = 1;
   const Index nchunks = chunk_count(begin, end, grain);
+  // Per-chunk exception slots are sized on the first throw, so a region
+  // whose chunks all succeed allocates nothing.
   std::vector<std::exception_ptr> errors;
-  if (nchunks > 1) errors.resize(static_cast<size_t>(nchunks));
+  std::mutex errors_mutex;
   detail::for_each_chunk(nchunks, [&](Index c) {
     const Index b = begin + c * grain;
     const Index e = b + grain < end ? b + grain : end;
-    if (errors.empty()) {
+    if (nchunks == 1) {
       fn(b, e);  // single chunk: runs on the caller, throws directly
     } else {
       try {
         fn(b, e);
       } catch (...) {
+        std::lock_guard<std::mutex> lock(errors_mutex);
+        errors.resize(static_cast<size_t>(nchunks));
         errors[static_cast<size_t>(c)] = std::current_exception();
       }
     }

@@ -7,15 +7,6 @@
 
 namespace evd::fault {
 
-namespace {
-std::atomic<bool> g_enabled{false};
-}  // namespace
-
-bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
-void set_enabled(bool on) noexcept {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
 const char* fault_kind_name(FaultKind kind) noexcept {
   switch (kind) {
     case FaultKind::None: return "None";

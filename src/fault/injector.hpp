@@ -27,10 +27,18 @@
 
 namespace evd::fault {
 
+namespace detail {
+inline std::atomic<bool> g_enabled{false};
+}  // namespace detail
+
 /// Process-wide kill switch, default off. Sites short-circuit to a single
-/// branch while disabled.
-bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
+/// branch while disabled: one inlined relaxed load.
+inline bool enabled() noexcept {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
+inline void set_enabled(bool on) noexcept {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 /// The fault classes the runtime's sites know how to manifest.
 enum class FaultKind : std::uint8_t {

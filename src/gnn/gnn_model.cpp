@@ -91,9 +91,9 @@ std::vector<nn::Param*> EventGnn::params() {
 }
 
 Index EventGnn::param_count() {
-  // Not through params(): handing out mutable conv handles marks their
-  // transposed-weight caches escaped, and every later apply_node/project
-  // would re-derive them. The pipelines' cost profiles call this.
+  // Not through params(): handing out mutable conv handles bumps their
+  // versions, so the next apply_node/project would re-derive the transposed
+  // weights. The pipelines' cost profiles call this.
   Index n = 0;
   for (const auto& conv : convs_) n += conv.param_count();
   for (auto* p : head_.params()) n += p->value.numel();

@@ -159,7 +159,8 @@ nn::Tensor GraphConv::backward(const nn::Tensor& grad_output) {
 }
 
 const GraphConv::TransposedWeights& GraphConv::ensure_transposed() const {
-  return transposed_.ensure([this](TransposedWeights& t) {
+  return transposed_.ensure(w_self_.version + w_nbr_.version,
+                            [this](TransposedWeights& t) {
     t.self.resize(static_cast<size_t>(in_) * static_cast<size_t>(out_));
     t.nbr.resize(static_cast<size_t>(in_ + 3) * static_cast<size_t>(out_));
     const float* ws = w_self_.value.data();

@@ -61,12 +61,17 @@ class GraphConv {
                             std::span<const NeighborRef> neighbors,
                             float* out) const;
 
+  /// Mutable handles; bumps each parameter's version, so the next call
+  /// re-derives the transposed weights once (see DerivedCache).
   std::vector<nn::Param*> params() {
-    transposed_.mark_escaped();
+    for (nn::Param* p : {&w_self_, &w_nbr_, &bias_}) ++p->version;
     return {&w_self_, &w_nbr_, &bias_};
   }
-  /// Weight and bias count; unlike params(), leaves the derived caches
-  /// alone.
+  /// How many times the transposed weights have been derived.
+  std::uint64_t transposed_builds() const noexcept {
+    return transposed_.builds();
+  }
+  /// Weight and bias count; unlike params(), leaves the versions alone.
   Index param_count() const noexcept {
     return w_self_.value.numel() + w_nbr_.value.numel() + bias_.value.numel();
   }
@@ -99,9 +104,8 @@ class GraphConv {
   // Transposed weight copies feeding the per-event kernels' contiguous path
   // (the w_*_t of simd::gnn_apply_node and its two-step pair): per-feature
   // weight columns become sequential row reads instead of strided gathers.
-  // mutable because
-  // apply_node() and friends are const and may run from concurrent
-  // sessions; see DerivedCache for the build-once / escaped-handle rebuild
+  // mutable because apply_node() and friends are const and may run from
+  // concurrent sessions; see DerivedCache for the versioned rebuild
   // protocol.
   mutable DerivedCache<TransposedWeights> transposed_;
 

@@ -6,6 +6,7 @@
 // order, which is all the architectures in this library need.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,12 @@ struct Param {
   std::string name;
   Tensor value;
   Tensor grad;
+  /// Bumped by every writer of `value` (optimizer steps, load_params,
+  /// pruning, quantization) and by the owners' accessors that hand out a
+  /// mutable handle. Owners that cache values derived from the weights
+  /// (DerivedCache) rebuild only when it has moved; code that keeps a
+  /// handle and writes through it later must bump it too.
+  std::uint64_t version = 0;
 
   explicit Param(std::string n, Tensor v)
       : name(std::move(n)), value(std::move(v)), grad(value.shape()) {}

@@ -54,6 +54,7 @@ void load_params(const std::string& path, const std::vector<Param*>& params) {
                                name + "'");
     }
     p->value.vec() = values;
+    ++p->version;
   }
 }
 

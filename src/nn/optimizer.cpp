@@ -26,6 +26,7 @@ void Sgd::step() {
       }
       p.value[i] -= lr_ * g;
     }
+    ++p.version;
     p.grad.zero();
   }
 }
@@ -59,6 +60,7 @@ void Adam::step() {
       const double vhat = v_[k][i] / bc2;
       p.value[i] -= static_cast<float>(lr_ * mhat / (std::sqrt(vhat) + eps_));
     }
+    ++p.version;
     p.grad.zero();
   }
 }

@@ -80,6 +80,7 @@ void PruneMask::apply() {
     for (Index i = 0; i < p.value.numel(); ++i) {
       if (!keep_[k][static_cast<size_t>(i)]) p.value[i] = 0.0f;
     }
+    ++p.version;
   }
 }
 

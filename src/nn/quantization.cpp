@@ -26,6 +26,7 @@ QuantResult fake_quantize(const Tensor& tensor, int bits) {
 void quantize_params(const std::vector<Param*>& params, int bits) {
   for (auto* p : params) {
     p->value = fake_quantize(p->value, bits).values;
+    ++p->version;
   }
 }
 
@@ -40,6 +41,7 @@ void QatTrainer::quantize_for_forward() {
   for (size_t k = 0; k < params_.size(); ++k) {
     latent_[k] = params_[k]->value;  // capture latest latent
     params_[k]->value = fake_quantize(latent_[k], bits_).values;
+    ++params_[k]->version;
   }
   quantized_ = true;
 }
@@ -48,6 +50,7 @@ void QatTrainer::restore_latent() {
   if (!quantized_) throw std::logic_error("QatTrainer: not quantized");
   for (size_t k = 0; k < params_.size(); ++k) {
     params_[k]->value = latent_[k];
+    ++params_[k]->version;
   }
   quantized_ = false;
 }

@@ -1,5 +1,6 @@
 #include "nn/softmax.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,6 +34,28 @@ void softmax_into(const Tensor& logits, Tensor& out) {
   }
   const auto inv = static_cast<float>(1.0 / sum);
   for (Index i = 0; i < out.numel(); ++i) out[i] *= inv;
+}
+
+Top1 softmax_top1(std::span<const float> logits) {
+  if (logits.empty()) {
+    throw std::invalid_argument("softmax_top1: empty logits");
+  }
+  // softmax_into's arithmetic, step for step: the same running max, the
+  // same float exponentials summed in double, the same float reciprocal.
+  float m = logits[0];
+  for (size_t i = 1; i < logits.size(); ++i) m = std::max(m, logits[i]);
+  double sum = 0.0;
+  for (const float x : logits) {
+    const float e = std::exp(x - m);
+    sum += e;
+  }
+  const auto inv = static_cast<float>(1.0 / sum);
+  Top1 top;
+  top.index = static_cast<Index>(
+      std::max_element(logits.begin(), logits.end()) - logits.begin());
+  const float e = std::exp(logits[static_cast<size_t>(top.index)] - m);
+  top.probability = e * inv;
+  return top;
 }
 
 CrossEntropy softmax_cross_entropy(const Tensor& logits, Index target) {

@@ -7,12 +7,8 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "common/env.hpp"
-
 namespace evd::obs {
 namespace {
-
-std::atomic<bool> g_enabled{env_flag("EVD_OBS", true)};
 
 enum class Kind { Counter, Gauge, Histogram };
 
@@ -99,11 +95,6 @@ std::vector<CollectorEntry>& collectors() {
 }
 
 }  // namespace
-
-bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
-void set_enabled(bool on) noexcept {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
 
 namespace detail {
 

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/types.hpp"
 
 namespace evd::obs {
@@ -41,11 +42,20 @@ namespace evd::obs {
 /// [2^(b-1), 2^b). 44 buckets cover ~2.7 hours in microseconds.
 inline constexpr Index kHistogramBuckets = 44;
 
+namespace detail {
+inline std::atomic<bool> g_enabled{env_flag("EVD_OBS", true)};
+}  // namespace detail
+
 /// Process-wide enable flag. Initialised once from EVD_OBS (default on,
 /// "EVD_OBS=off" disables); set_enabled() overrides it at runtime (benches
-/// measure both sides, tests pin it).
-bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
+/// measure both sides, tests pin it). Inline, so every disabled instrument
+/// costs one relaxed load and a branch.
+inline bool enabled() noexcept {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
+inline void set_enabled(bool on) noexcept {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 namespace detail {
 

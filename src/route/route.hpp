@@ -27,19 +27,30 @@
 // stack (which searches over them) can link it without cycles.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "common/env.hpp"
+
 namespace evd::route {
+
+namespace detail {
+inline std::atomic<bool> g_enabled{env_flag("EVD_ROUTE", true)};
+}  // namespace detail
 
 /// EVD_ROUTE kill-switch (default on). When off, every dispatch site runs
 /// the paradigm's default path regardless of any installed route — the
 /// byte-identical fallback the equivalence contract demands.
-bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
+inline bool enabled() noexcept {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
+inline void set_enabled(bool on) noexcept {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 /// Stable identifiers for the routable execution variants. The numeric
 /// values are serialized inside plan bytes (sched::ParadigmPlacement), so

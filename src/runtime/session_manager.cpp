@@ -1,6 +1,7 @@
 #include "runtime/session_manager.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -91,6 +92,10 @@ SessionId SessionManager::add(std::unique_ptr<core::StreamSession> session,
   capacity_total_ += config.queue_capacity;
   slots_.push_back(std::move(slot));
   processed_.push_back(0);
+  ready_.resize((slots_.size() + 63) / 64, 0);
+  // Geometric, so the pump's visit list never reallocates mid-round and
+  // add() stays amortised O(1).
+  if (visit_.capacity() < slots_.size()) visit_.reserve(2 * slots_.size());
   Index active = 0;
   for (const auto& sl : slots_) {
     if (sl->state != SessionState::Retired) ++active;
@@ -131,12 +136,14 @@ fault::DegradationLevel SessionManager::admission_level() const noexcept {
   return fault::degradation_level(admission_, occupancy());
 }
 
-bool SessionManager::push_op(Slot& s, const StreamOp& op) {
+bool SessionManager::push_op(SessionId id, Slot& s, const StreamOp& op) {
   // Occupancy tracks queue *size*, which push() may not grow (DropNewest
   // rejection, DropOldest eviction) — charge the delta, not the attempt.
   const Index before = s.queue.size();
   const bool ok = s.queue.push(op);
   queued_ops_.fetch_add(s.queue.size() - before, std::memory_order_relaxed);
+  // Every push leaves the queue non-empty (a rejected op leaves it full).
+  mark_ready(id);
   return ok;
 }
 
@@ -201,13 +208,13 @@ bool SessionManager::admit(SessionId id, Slot& s, StreamOp op) {
   // Queue-pressure sites: a duplicate enqueues the op twice, a storm
   // enqueues a burst of copies ahead of it (overflow-policy stress).
   if (site_duplicate_.fire(id) == fault::FaultKind::DuplicateEvent) {
-    push_op(s, op);
+    push_op(id, s, op);
   }
   if (site_storm_.fire(id) == fault::FaultKind::OverflowStorm) {
     const Index extra = site_storm_.plan().storm_extra;
-    for (Index i = 0; i < extra; ++i) push_op(s, op);
+    for (Index i = 0; i < extra; ++i) push_op(id, s, op);
   }
-  return push_op(s, op);
+  return push_op(id, s, op);
 }
 
 bool SessionManager::submit(SessionId id, const events::Event& event) {
@@ -337,7 +344,6 @@ Index SessionManager::pump_session(Index i, Index burst,
   // through the parallel region, so neighbors are untouched (the
   // runtime.fault_isolation oracle holds this bitwise).
   while (done < burst && s.queue.pop(op)) {
-    queued_ops_.fetch_sub(1, std::memory_order_relaxed);
     try {
       if (op.enqueue_ns > 0) {
         const std::int64_t before = s.session->stats().decisions_emitted;
@@ -363,6 +369,9 @@ Index SessionManager::pump_session(Index i, Index burst,
     }
     ++done;
   }
+  // Every pass of the loop pops one op, so `done` is the pop count: one
+  // shared-counter update per burst instead of one per op.
+  queued_ops_.fetch_sub(done, std::memory_order_relaxed);
   return done;
 }
 
@@ -440,15 +449,16 @@ Index SessionManager::pump() {
     coarsen = admission_.coarsen_factor < 1 ? 1 : admission_.coarsen_factor;
     ++coarsened_rounds_;
   }
-  // EVD_SCHED=off (or no installed / stale plan) runs the legacy blind
-  // round-robin byte-identically to a build without the planner.
+  // EVD_SCHED=off (or no installed / stale plan) runs the unplanned
+  // ready-set round byte-identically to a build without the planner.
   const bool planned =
       plan_ != nullptr && sched::enabled() && plan_->session_count == n;
+  Index total = 0;
   if (planned) {
     // Grain 1 over *regions*: region r is chunk r, one worker per region
     // per round. Plan::validate() guarantees each session sits in exactly
     // one region, so no session is ever touched by two workers — the same
-    // single-writer argument as the legacy path, with the plan choosing
+    // single-writer argument as the unplanned path, with the plan choosing
     // the partition, visit order and per-visit bursts.
     const auto nregions = static_cast<Index>(plan_->regions.size());
     par::parallel_for(0, nregions, 1, [&](Index begin, Index end) {
@@ -463,19 +473,38 @@ Index SessionManager::pump() {
       }
     });
     planned_rounds_.add(1);
+    for (Index i = 0; i < n; ++i) total += processed_[static_cast<size_t>(i)];
   } else {
-    const Index burst = burst_ * coarsen;
-    // Grain 1: session i is chunk i, so static assignment gives worker w
-    // sessions w, w+W, ... — one worker per session per round, no sharing.
-    par::parallel_for(0, n, 1, [&](Index begin, Index end) {
-      for (Index i = begin; i < end; ++i) {
-        processed_[static_cast<size_t>(i)] =
-            pump_session(i, burst, "runtime.session_burst");
+    // Take the ready set: its ids in ascending order, bits cleared. The
+    // planned path leaves the bits alone, so they stay a superset there.
+    visit_.clear();
+    for (size_t w = 0; w < ready_.size(); ++w) {
+      std::uint64_t bits = ready_[w];
+      if (bits == 0) continue;
+      ready_[w] = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        visit_.push_back(static_cast<Index>(w * 64) + std::countr_zero(bits));
       }
-    });
+    }
+    const Index burst = burst_ * coarsen;
+    // Grain 1: visit k is chunk k — one worker per session per round, no
+    // sharing.
+    par::parallel_for(
+        0, static_cast<Index>(visit_.size()), 1, [&](Index begin, Index end) {
+          for (Index k = begin; k < end; ++k) {
+            const Index i = visit_[static_cast<size_t>(k)];
+            processed_[static_cast<size_t>(i)] =
+                pump_session(i, burst, "runtime.session_burst");
+          }
+        });
+    // Back into the set: sessions the burst did not empty (single-threaded,
+    // after the region, so the bitmap has one writer).
+    for (const Index i : visit_) {
+      total += processed_[static_cast<size_t>(i)];
+      const Slot& s = *slots_[static_cast<size_t>(i)];
+      if (s.state == SessionState::Active && !s.queue.empty()) mark_ready(i);
+    }
   }
-  Index total = 0;
-  for (Index i = 0; i < n; ++i) total += processed_[static_cast<size_t>(i)];
   ops_processed_.add(total);
   pump_rounds_.add(1);
   return total;

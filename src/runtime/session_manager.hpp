@@ -1,13 +1,22 @@
 // Multi-session serving over the evd::par pool.
 //
 // The SessionManager owns N (session, ingress-queue) pairs and pumps them
-// with deterministic round-robin scheduling:
+// with deterministic round-robin scheduling over a ready set:
 //
-//   pump() round:  parallel_for over sessions, grain 1 — session s is one
-//                  chunk, so the whole session runs on exactly one worker
-//                  per round (static chunk assignment: worker w gets
-//                  sessions w, w+W, ...). Each session processes up to
-//                  `burst` queued ops, in FIFO order, then yields.
+//   ready set:     one bit per session, set when an op is queued for it.
+//                  Invariant: every Active session with a non-empty queue
+//                  has its bit set (a set bit may also name a session that
+//                  has since been emptied, quarantined or retired; pumping
+//                  it is a no-op).
+//   pump() round:  collect the set bits in ascending id order and clear
+//                  them, then parallel_for over that list, grain 1 — each
+//                  listed session is one chunk, so the whole session runs
+//                  on exactly one worker per round. Each session processes
+//                  up to `burst` queued ops, in FIFO order, then yields;
+//                  one that is still Active with ops left goes back into
+//                  the set. A round therefore costs work proportional to
+//                  the sessions with queued ops, not to the population: an
+//                  idle round touches one word per 64 sessions.
 //
 // Determinism argument (the multiplexed-vs-sequential oracle in evd::check
 // enforces this bitwise):
@@ -133,10 +142,10 @@ class SessionManager {
   bool submit_advance(SessionId id, TimeUs t);
 
   /// One scheduling round. Without an installed plan (or with EVD_SCHED
-  /// off): every Active session with queued ops processes up to `burst` of
-  /// them, sessions running in parallel across the pool. With a plan: each
-  /// plan region is pumped by one worker, visiting its sessions in plan
-  /// order with per-entry bursts. Either way every session applies its own
+  /// off): every session in the ready set — each Active session with queued
+  /// ops — processes up to `burst` of them, in parallel across the pool.
+  /// With a plan: each plan region is pumped by one worker, visiting its
+  /// sessions in plan order with per-entry bursts. Either way every session applies its own
   /// ops in FIFO order on a single worker per round, so the decision
   /// streams are bitwise identical (sched.plan_vs_sequential oracles).
   /// Returns the total number of ops processed (0 == all queues empty).
@@ -192,6 +201,12 @@ class SessionManager {
     return static_cast<Index>(slots_.size());
   }
   Index queued(SessionId id) const { return slot(id).queue.size(); }
+  /// True while the session is in the unplanned pump's ready set (see the
+  /// header comment for the invariant).
+  bool ready(SessionId id) const {
+    (void)slot(id);  // range check
+    return (ready_[static_cast<size_t>(id) >> 6] >> (id & 63)) & 1u;
+  }
 
   core::StreamSession& session(SessionId id) { return *slot(id).session; }
   const core::StreamSession& session(SessionId id) const {
@@ -343,7 +358,10 @@ class SessionManager {
   /// Admission pipeline shared by submit/submit_advance. Returns false (and
   /// accounts the shed) when the op is refused before reaching the queue.
   bool admit(SessionId id, Slot& s, StreamOp op);
-  bool push_op(Slot& s, const StreamOp& op);
+  bool push_op(SessionId id, Slot& s, const StreamOp& op);
+  void mark_ready(SessionId id) noexcept {
+    ready_[static_cast<size_t>(id) >> 6] |= std::uint64_t{1} << (id & 63);
+  }
 
   /// Apply one op to the session, running the injection site and the
   /// validation guard. Throws on any fault.
@@ -358,7 +376,7 @@ class SessionManager {
   bool take_checkpoint(Slot& s);
 
   /// One session's slice of a pump round: up to `burst` queued ops under
-  /// the named obs span. Shared by the legacy round-robin path and the
+  /// the named obs span. Shared by the unplanned ready-set path and the
   /// planned path — both execute ops through exactly this code.
   Index pump_session(Index i, Index burst, const char* span_name);
 
@@ -375,6 +393,10 @@ class SessionManager {
   std::vector<std::uint8_t> plan_bytes_;  ///< Serialized form of plan_.
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<Index> processed_;  ///< Per-session scratch for pump().
+  /// The ready set: bit i of word i/64 set once an op is queued for
+  /// session i (see the header comment).
+  std::vector<std::uint64_t> ready_;
+  std::vector<Index> visit_;  ///< Scratch: the ids one pump() round visits.
   fault::AdmissionConfig admission_;
   // Online re-planning state (all touched only by the pumping thread).
   ReplanHook replan_hook_;

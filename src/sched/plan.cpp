@@ -1,9 +1,7 @@
 #include "sched/plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "fault/checkpoint.hpp"
 
@@ -17,20 +15,7 @@ constexpr std::uint32_t kPlanMagic = 0x53434845u;  // "SCHE"
 constexpr std::uint32_t kPlanVersion = 2;
 constexpr std::size_t kPlanMaxBytes = 1u << 20;
 
-std::atomic<bool>& enabled_state() {
-  static std::atomic<bool> state{env_flag("EVD_SCHED", true)};
-  return state;
-}
-
 }  // namespace
-
-bool enabled() noexcept {
-  return enabled_state().load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) noexcept {
-  enabled_state().store(on, std::memory_order_relaxed);
-}
 
 const char* hw_model_name(HwModel hw) noexcept {
   switch (hw) {

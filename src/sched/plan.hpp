@@ -27,11 +27,13 @@
 // arithmetic.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/types.hpp"
 #include "route/route.hpp"
 
@@ -124,7 +126,8 @@ struct Plan {
   /// The do-nothing-clever baseline: sessions dealt round-robin across
   /// `regions` regions (session s -> region s % regions, preserving id
   /// order within each region), every burst = `burst`, default placements,
-  /// no fusion. This is exactly the schedule the legacy pump executes.
+  /// no fusion. Every session gets the same per-round burst the unplanned
+  /// pump gives it, so the two apply the same ops in the same rounds.
   static Plan round_robin(Index session_count, Index region_count,
                           Index burst);
 };
@@ -132,10 +135,18 @@ struct Plan {
 bool operator==(const Plan& a, const Plan& b);
 inline bool operator!=(const Plan& a, const Plan& b) { return !(a == b); }
 
+namespace detail {
+inline std::atomic<bool> g_enabled{env_flag("EVD_SCHED", true)};
+}  // namespace detail
+
 /// EVD_SCHED kill-switch (default on, mirrors EVD_OBS / EVD_SIMD): when
-/// off, the SessionManager ignores any installed plan and runs the legacy
-/// round-robin pump byte-identically to a build without this subsystem.
-bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
+/// off, the SessionManager ignores any installed plan and runs the unplanned
+/// ready-set pump byte-identically to a build without this subsystem.
+inline bool enabled() noexcept {
+  return detail::g_enabled.load(std::memory_order_relaxed);
+}
+inline void set_enabled(bool on) noexcept {
+  detail::g_enabled.store(on, std::memory_order_relaxed);
+}
 
 }  // namespace evd::sched

@@ -1,5 +1,6 @@
 #include "snn/snn_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
@@ -19,6 +20,12 @@ namespace {
 /// (chunks concatenated in ascending order = ascending neuron id) and
 /// membrane arithmetic are identical for any thread count.
 constexpr Index kNeuronGrain = 128;
+
+nn::Tensor to_tensor(std::span<const float> values) {
+  nn::Tensor t({static_cast<Index>(values.size())});
+  std::copy(values.begin(), values.end(), t.data());
+  return t;
+}
 
 }  // namespace
 
@@ -42,10 +49,10 @@ SpikingNet::SpikingNet(SpikingNetConfig config, Rng& rng)
 }
 
 std::vector<nn::Param*> SpikingNet::params() {
-  weights_t_.mark_escaped();
   std::vector<nn::Param*> all;
   for (auto& w : weights_) all.push_back(&w);
   for (auto& b : biases_) all.push_back(&b);
+  for (nn::Param* p : all) ++p->version;  // a mutable handle leaves here
   return all;
 }
 
@@ -57,7 +64,9 @@ Index SpikingNet::param_count() {
 }
 
 const std::vector<std::vector<float>>& SpikingNet::ensure_transposed() {
-  return weights_t_.ensure([this](std::vector<std::vector<float>>& all) {
+  std::uint64_t version = 0;
+  for (const nn::Param& w : weights_) version += w.version;
+  return weights_t_.ensure(version, [this](std::vector<std::vector<float>>& all) {
     all.resize(weights_.size());
     for (size_t l = 0; l < weights_.size(); ++l) {
       const Index in = config_.layer_sizes[l];
@@ -310,29 +319,48 @@ void SpikingNet::backward(const nn::Tensor& grad_logits) {
 SnnState SpikingNet::make_state() const {
   SnnState state;
   const Index hidden_layers = layer_count() - 1;
+  Index widest = 0;
+  Index max_chunks = 0;
   for (Index l = 0; l < hidden_layers; ++l) {
-    state.membrane.emplace_back(
-        static_cast<size_t>(config_.layer_sizes[static_cast<size_t>(l + 1)]),
-        0.0f);
+    const Index n = config_.layer_sizes[static_cast<size_t>(l + 1)];
+    state.membrane.emplace_back(static_cast<size_t>(n), 0.0f);
+    widest = std::max(widest, n);
+    max_chunks = std::max(max_chunks, par::chunk_count(0, n, kNeuronGrain));
   }
-  state.membrane.emplace_back(
-      static_cast<size_t>(config_.layer_sizes.back()), 0.0f);
-  state.readout_sum.assign(static_cast<size_t>(config_.layer_sizes.back()),
-                           0.0f);
+  const Index out_size = config_.layer_sizes.back();
+  state.membrane.emplace_back(static_cast<size_t>(out_size), 0.0f);
+  state.readout_sum.assign(static_cast<size_t>(out_size), 0.0f);
+  // A layer emits at most one spike per neuron, so these capacities cover
+  // every step.
+  state.spikes_a.reserve(static_cast<size_t>(widest));
+  state.spikes_b.reserve(static_cast<size_t>(widest));
+  // Only layers of two or more chunks fork (see step_into).
+  state.chunk_spikes.resize(max_chunks > 1 ? static_cast<size_t>(max_chunks)
+                                           : 0);
+  for (auto& chunk : state.chunk_spikes) {
+    chunk.reserve(static_cast<size_t>(std::min(widest, kNeuronGrain)));
+  }
+  state.logits.assign(static_cast<size_t>(out_size), 0.0f);
   return state;
 }
 
-nn::Tensor SpikingNet::step(SnnState& state,
-                            const std::vector<Index>& input_spikes) {
-  const Index L = layer_count();
-  const Index hidden_layers = L - 1;
+std::span<const float> SpikingNet::step_into(
+    SnnState& state, std::span<const Index> input_spikes, bool event_driven) {
+  // Clocked: each layer of two or more neuron chunks is a fork-join whose
+  // chunk spike lists concatenate in chunk order; a one-chunk layer is a
+  // single kernel call. Event-driven: one spike-driven kernel call
+  // per layer on the calling thread — see the header for the
+  // bitwise-equivalence argument. The op counting is deliberately the same
+  // for both: they do the same arithmetic, so the analytic ledgers must
+  // agree too (the modeled cost difference between the paths lives in the
+  // planner's per-path profiles, not here).
+  const Index hidden_layers = layer_count() - 1;
   const float theta = config_.lif.threshold;
   const float beta = config_.lif.beta;
   const bool counting = nn::active_counter() != nullptr;
 
-  std::vector<Index> spikes_in = input_spikes;
-  std::vector<Index> spikes_next;
-  // Spike accounting lives in the state, not the net: step() must stay
+  std::span<const Index> spikes_in = input_spikes;
+  // Spike accounting lives in the state, not the net: stepping must stay
   // const-safe on `this` so concurrent sessions can share one network.
   state.step_hidden_spikes = 0;
   const auto& weights_t = ensure_transposed();
@@ -342,21 +370,41 @@ nn::Tensor SpikingNet::step(SnnState& state,
     const Index in_dim = config_.layer_sizes[static_cast<size_t>(l)];
     const float* w = weights_[static_cast<size_t>(l)].value.data();
     const float* b = biases_[static_cast<size_t>(l)].value.data();
-    // SIMD-dispatched LIF chunk update; spike order and membrane bits are
-    // tier-invariant (see simd::lif_step_block).
-    const Index nchunks = par::chunk_count(0, n, kNeuronGrain);
-    std::vector<std::vector<Index>> chunk_spikes(static_cast<size_t>(nchunks));
     const float* w_t = weights_t[static_cast<size_t>(l)].data();
-    par::parallel_for_chunks(0, n, kNeuronGrain, [&](Index chunk, Index nb,
-                                                     Index ne) {
+    // Layer l reads the list layer l-1 wrote, so the two alternate.
+    std::vector<Index>& spikes_out = l % 2 == 0 ? state.spikes_a
+                                                : state.spikes_b;
+    spikes_out.clear();
+    const Index nchunks = par::chunk_count(0, n, kNeuronGrain);
+    if (event_driven || nchunks == 1) {
+      // Event-driven, or a clocked layer of a single neuron chunk (nothing
+      // to fork, and its one chunk list would be the layer's list): one
+      // kernel call over the whole layer on the calling thread.
       simd::lif_step_block(vl.data(), b, w, w_t, in_dim, n, spikes_in.data(),
-                           static_cast<Index>(spikes_in.size()), nb, ne, beta,
+                           static_cast<Index>(spikes_in.size()), 0, n, beta,
                            theta, config_.lif.reset_to_zero, nullptr,
-                           chunk_spikes[static_cast<size_t>(chunk)]);
-    });
-    spikes_next.clear();
-    for (const auto& local : chunk_spikes) {
-      spikes_next.insert(spikes_next.end(), local.begin(), local.end());
+                           spikes_out);
+    } else {
+      // SIMD-dispatched LIF chunk update; spike order and membrane bits are
+      // tier-invariant (see simd::lif_step_block).
+      if (state.chunk_spikes.size() < static_cast<size_t>(nchunks)) {
+        state.chunk_spikes.resize(static_cast<size_t>(nchunks));
+      }
+      for (Index c = 0; c < nchunks; ++c) {
+        state.chunk_spikes[static_cast<size_t>(c)].clear();
+      }
+      par::parallel_for_chunks(0, n, kNeuronGrain, [&](Index chunk, Index nb,
+                                                       Index ne) {
+        simd::lif_step_block(vl.data(), b, w, w_t, in_dim, n,
+                             spikes_in.data(),
+                             static_cast<Index>(spikes_in.size()), nb, ne,
+                             beta, theta, config_.lif.reset_to_zero, nullptr,
+                             state.chunk_spikes[static_cast<size_t>(chunk)]);
+      });
+      for (Index c = 0; c < nchunks; ++c) {
+        const auto& local = state.chunk_spikes[static_cast<size_t>(c)];
+        spikes_out.insert(spikes_out.end(), local.begin(), local.end());
+      }
     }
     if (counting) {
       nn::count_mult(n);
@@ -366,58 +414,24 @@ nn::Tensor SpikingNet::step(SnnState& state,
       nn::count_param_read(
           (static_cast<std::int64_t>(spikes_in.size()) * n + n) * 4);
     }
-    state.step_hidden_spikes += static_cast<Index>(spikes_next.size());
-    spikes_in = spikes_next;
+    state.step_hidden_spikes += static_cast<Index>(spikes_out.size());
+    spikes_in = spikes_out;
   }
+  readout(state, spikes_in);
+  return state.logits;
+}
 
-  return readout(state, spikes_in);
+nn::Tensor SpikingNet::step(SnnState& state,
+                            const std::vector<Index>& input_spikes) {
+  return to_tensor(step_into(state, input_spikes, /*event_driven=*/false));
 }
 
 nn::Tensor SpikingNet::step_event(SnnState& state,
                                   const std::vector<Index>& input_spikes) {
-  // One spike-driven kernel call per layer on the calling thread — see the
-  // header for the bitwise-equivalence argument against step(). The op
-  // counting below is deliberately identical to step()'s: both paths do
-  // the same arithmetic, so the analytic ledgers must agree too (the
-  // modeled cost difference between the paths lives in the planner's
-  // per-path profiles, not here).
-  const Index hidden_layers = layer_count() - 1;
-  const float theta = config_.lif.threshold;
-  const float beta = config_.lif.beta;
-  const bool counting = nn::active_counter() != nullptr;
-
-  std::vector<Index> spikes_in = input_spikes;
-  std::vector<Index> spikes_next;
-  state.step_hidden_spikes = 0;
-  const auto& weights_t = ensure_transposed();
-  for (Index l = 0; l < hidden_layers; ++l) {
-    auto& vl = state.membrane[static_cast<size_t>(l)];
-    const Index n = static_cast<Index>(vl.size());
-    const Index in_dim = config_.layer_sizes[static_cast<size_t>(l)];
-    const float* w = weights_[static_cast<size_t>(l)].value.data();
-    const float* b = biases_[static_cast<size_t>(l)].value.data();
-    const float* w_t = weights_t[static_cast<size_t>(l)].data();
-    spikes_next.clear();
-    simd::lif_step_block(vl.data(), b, w, w_t, in_dim, n, spikes_in.data(),
-                         static_cast<Index>(spikes_in.size()), 0, n, beta,
-                         theta, config_.lif.reset_to_zero, nullptr,
-                         spikes_next);
-    if (counting) {
-      nn::count_mult(n);
-      nn::count_add(static_cast<std::int64_t>(spikes_in.size() + 1) * n);
-      nn::count_compare(n);
-      nn::count_state_rw(n * 8);
-      nn::count_param_read(
-          (static_cast<std::int64_t>(spikes_in.size()) * n + n) * 4);
-    }
-    state.step_hidden_spikes += static_cast<Index>(spikes_next.size());
-    spikes_in = spikes_next;
-  }
-  return readout(state, spikes_in);
+  return to_tensor(step_into(state, input_spikes, /*event_driven=*/true));
 }
 
-nn::Tensor SpikingNet::readout(SnnState& state,
-                               const std::vector<Index>& spikes_in) {
+void SpikingNet::readout(SnnState& state, std::span<const Index> spikes_in) {
   const Index L = layer_count();
   auto& v_out = state.membrane.back();
   const Index out_size = static_cast<Index>(v_out.size());
@@ -434,13 +448,13 @@ nn::Tensor SpikingNet::readout(SnnState& state,
     }
   }
   ++state.steps_seen;
-  nn::Tensor logits({out_size});
+  state.logits.resize(static_cast<size_t>(out_size));
   for (Index o = 0; o < out_size; ++o) {
     state.readout_sum[static_cast<size_t>(o)] += v_out[static_cast<size_t>(o)];
-    logits[o] = state.readout_sum[static_cast<size_t>(o)] /
-                static_cast<float>(state.steps_seen);
+    state.logits[static_cast<size_t>(o)] =
+        state.readout_sum[static_cast<size_t>(o)] /
+        static_cast<float>(state.steps_seen);
   }
-  return logits;
 }
 
 SnnFitReport fit_snn(SpikingNet& net, std::span<const SpikeTrain> inputs,

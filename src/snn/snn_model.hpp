@@ -13,6 +13,7 @@
 //   dL/dV[t] = dL/ds[t] * sg'(V[t] - theta) + beta * dL/dV[t+1].
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/derived_cache.hpp"
@@ -42,6 +43,16 @@ struct SnnState {
   std::vector<float> readout_sum;            ///< Accumulated readout logits.
   Index steps_seen = 0;
   Index step_hidden_spikes = 0;  ///< Hidden spikes in the most recent step().
+
+  // Per-step scratch, sized by make_state() so that step_into() allocates
+  // nothing. Not part of the neuron state: checkpoints skip it, and its
+  // contents are meaningless between steps (except `logits`, which holds
+  // the latest step's running logits).
+  std::vector<Index> spikes_a, spikes_b;  ///< Ping-pong layer spike lists.
+  /// Clocked path, layers of two or more neuron chunks: spikes of each
+  /// chunk, concatenated in chunk order.
+  std::vector<std::vector<Index>> chunk_spikes;
+  std::vector<float> logits;  ///< Running logits [output_size].
 };
 
 class SpikingNet {
@@ -65,8 +76,19 @@ class SpikingNet {
 
   // ---- Streaming (stateful) mode ----
   SnnState make_state() const;
-  /// Advance one timestep with the given active input indices; returns the
-  /// current running logits (time-averaged readout membrane).
+
+  /// Advance one timestep with the given active input indices and return
+  /// the current running logits (time-averaged readout membrane), held in
+  /// `state.logits`. `event_driven` selects the stepping discipline (see
+  /// step_event()); both give bitwise-identical results. Every buffer lives
+  /// in `state`, so a step allocates nothing once make_state() has sized it
+  /// — the streaming sessions' per-timestep path.
+  std::span<const float> step_into(SnnState& state,
+                                   std::span<const Index> input_spikes,
+                                   bool event_driven);
+
+  /// step_into(state, input_spikes, false) as a Tensor (training, tests
+  /// and oracles).
   nn::Tensor step(SnnState& state, const std::vector<Index>& input_spikes);
 
   /// Event-driven stepping: the same timestep arithmetic as step(), but
@@ -80,6 +102,7 @@ class SpikingNet {
   /// barrier per layer and no per-chunk vector churn, which is what makes
   /// it the right path for sparse, latency-sensitive streams (the paper's
   /// event-driven execution style).
+  /// As a Tensor, like step().
   nn::Tensor step_event(SnnState& state,
                         const std::vector<Index>& input_spikes);
 
@@ -87,13 +110,17 @@ class SpikingNet {
   Index layer_count() const noexcept {
     return static_cast<Index>(weights_.size());
   }
+  /// Mutable handles. weight() bumps the parameter's version, so the next
+  /// step re-derives the transposed weights once (see DerivedCache).
   nn::Param& weight(Index l) {
-    weights_t_.mark_escaped();
-    return weights_.at(static_cast<size_t>(l));
+    nn::Param& w = weights_.at(static_cast<size_t>(l));
+    ++w.version;
+    return w;
   }
-  nn::Param& bias(Index l) {
-    weights_t_.mark_escaped();
-    return biases_.at(static_cast<size_t>(l));
+  nn::Param& bias(Index l) { return biases_.at(static_cast<size_t>(l)); }
+  /// How many times the transposed weights have been derived.
+  std::uint64_t transposed_builds() const noexcept {
+    return weights_t_.builds();
   }
 
  private:
@@ -104,15 +131,16 @@ class SpikingNet {
   /// Build/refresh and return the transposed weight copies.
   const std::vector<std::vector<float>>& ensure_transposed();
 
-  /// Shared readout tail of step()/step_event(): leaky output-membrane
-  /// update from the last hidden layer's spikes, running-average logits.
-  nn::Tensor readout(SnnState& state, const std::vector<Index>& spikes_in);
+  /// Shared readout tail of both stepping disciplines: leaky output-membrane
+  /// update from the last hidden layer's spikes, running-average logits
+  /// into state.logits.
+  void readout(SnnState& state, std::span<const Index> spikes_in);
 
   // Per-layer transposed ([in][out]) weight copies feeding the LIF kernel's
   // contiguous-streaming path (simd::lif_step_block's w_t): the per-spike
   // synapse fetch becomes a sequential row read instead of a strided gather
-  // through the row-major matrix. See DerivedCache for the build-once /
-  // escaped-handle rebuild protocol.
+  // through the row-major matrix. See DerivedCache for the versioned
+  // rebuild protocol.
   DerivedCache<std::vector<std::vector<float>>> weights_t_;
 
   // Training caches (valid after forward(train=true)).

@@ -264,8 +264,8 @@ class SnnStreamSession : public runtime::SessionBase {
   }
 
   void tick_until(TimeUs now) {
-    // net().step() allocates internally; that cost is bounded by the clock
-    // (one step per timestep_us), not by the event rate.
+    // Allocation-free: every step buffer lives in state_ (step_into), and
+    // the decision reads its label and confidence straight off the logits.
     while (now >= step_end_) {
       obs::Span span("snn.step");
       // Routed stepping discipline: the event-driven path runs each layer
@@ -276,16 +276,14 @@ class SnnStreamSession : public runtime::SessionBase {
       const bool event_driven =
           route::enabled() &&
           execution_path() == route::PathId::SnnEventDriven;
-      const nn::Tensor logits = event_driven
-                                    ? pipeline_.net().step_event(state_, pending_)
-                                    : pipeline_.net().step(state_, pending_);
+      const nn::Top1 top = nn::softmax_top1(
+          pipeline_.net().step_into(state_, pending_, event_driven));
       for (const Index i : pending_) seen_[static_cast<size_t>(i)] = 0;
       pending_.clear();
       core::Decision decision;
       decision.t = step_end_;
-      decision.label = static_cast<int>(logits.argmax());
-      const nn::Tensor probs = nn::softmax(logits);
-      decision.confidence = probs[probs.argmax()];
+      decision.label = static_cast<int>(top.index);
+      decision.confidence = top.probability;
       emit(decision);
       step_end_ += pipeline_.config().timestep_us;
     }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "gnn/async_update.hpp"
 #include "gnn/gnn_model.hpp"
 #include "gnn/graph_builder.hpp"
 #include "test_util.hpp"
@@ -114,6 +115,61 @@ TEST(EventGnn, WorksOnRealEventGraphs) {
   const nn::Tensor logits = model.forward(graph, false);
   EXPECT_EQ(logits.numel(), 2);
   for (Index i = 0; i < 2; ++i) EXPECT_TRUE(std::isfinite(logits[i]));
+}
+
+TEST(EventGnn, TrainedModelServesWithoutRederivingItsTransposedWeights) {
+  EventGnn model(tiny_config());
+  std::vector<EventGraph> graphs;
+  std::vector<Index> labels;
+  Rng rng(5);
+  for (int i = 0; i < 4; ++i) {
+    graphs.push_back(i % 2 == 0 ? make_cluster(rng) : make_chain(rng));
+    labels.push_back(i % 2);
+  }
+  GnnFitOptions options;
+  options.epochs = 2;
+  fit_gnn(model, graphs, labels, options);
+
+  std::vector<std::uint64_t> before;
+  for (Index l = 0; l < model.conv_count(); ++l) {
+    before.push_back(model.conv(l).transposed_builds());
+  }
+  // Per-event serving: every insert projects and applies every layer.
+  AsyncEventGnn async(model, /*bidirectional=*/false);
+  const EventGraph& graph = graphs[0];
+  for (Index i = 0; i < graph.node_count(); ++i) {
+    std::vector<Index> neighbors(graph.neighbors(i).begin(),
+                                 graph.neighbors(i).end());
+    async.insert(graph.node(i), neighbors);
+  }
+  (void)model.param_count();  // the pipelines' cost profiles call this
+  for (Index l = 0; l < model.conv_count(); ++l) {
+    EXPECT_LE(model.conv(l).transposed_builds() -
+                  before[static_cast<size_t>(l)],
+              1u)
+        << "layer " << l;
+  }
+}
+
+TEST(EventGnn, WeightWrittenThroughAPublicHandleIsSeenByTheNextInsert) {
+  EventGnn model(tiny_config());
+  Rng rng(6);
+  const EventGraph graph = make_cluster(rng);
+  const auto logits_after_inserts = [&] {
+    AsyncEventGnn async(model, /*bidirectional=*/false);
+    for (Index i = 0; i < graph.node_count(); ++i) {
+      std::vector<Index> neighbors(graph.neighbors(i).begin(),
+                                   graph.neighbors(i).end());
+      async.insert(graph.node(i), neighbors);
+    }
+    return async.logits();
+  };
+  const nn::Tensor original = logits_after_inserts();
+  for (nn::Param* p : model.conv(0).params()) p->value.zero();
+  const nn::Tensor zeroed = logits_after_inserts();
+  // A zeroed first layer feeds only zeros forward: the logits come from
+  // the later biases alone, so they differ from the original ones.
+  EXPECT_NE(original.vec(), zeroed.vec());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "nn/softmax.hpp"
 #include "test_util.hpp"
@@ -40,6 +42,32 @@ TEST(Softmax, HandlesExtremeLogits) {
 
 TEST(Softmax, EmptyThrows) {
   EXPECT_THROW(softmax(Tensor{}), std::invalid_argument);
+}
+
+TEST(Softmax, Top1IsBitwiseTheTensorPath) {
+  // Random logits, near-ties that round to equal exponentials, exact ties
+  // (the first index wins) and a single class.
+  std::vector<std::vector<float>> cases = {
+      {0.5f},
+      {2.0f, 2.0f, -1.0f},
+      {1.0f, std::nextafter(1.0f, 0.0f), 0.25f},
+      {-3.0f, 7.5f, 7.5f, 1e-7f},
+  };
+  Rng rng(9);
+  for (int k = 0; k < 200; ++k) {
+    const Tensor t = Tensor::randn({1 + k % 7}, rng, 4.0f);
+    cases.push_back(t.vec());
+  }
+  for (const std::vector<float>& logits : cases) {
+    Tensor t({static_cast<Index>(logits.size())});
+    t.vec() = logits;
+    const Top1 top = softmax_top1(logits);
+    EXPECT_EQ(top.index, t.argmax());
+    const float want = softmax(t)[t.argmax()];
+    EXPECT_EQ(std::memcmp(&top.probability, &want, sizeof want), 0)
+        << top.probability << " vs " << want;
+  }
+  EXPECT_THROW(softmax_top1({}), std::invalid_argument);
 }
 
 TEST(CrossEntropy, LossValueUniform) {

@@ -22,7 +22,8 @@ TEST(RingBuffer, PushPopWrapsAround) {
   EXPECT_EQ(ring.capacity(), 3);
 
   for (int round = 0; round < 5; ++round) {
-    // Fill, drain one, fill again: the head/tail wrap every round.
+    // Fill, then drain in FIFO order (an emptied ring rewinds to slot 0;
+    // PartialDrainsWrapAround keeps it non-empty so head and tail wrap).
     EXPECT_TRUE(ring.push(round * 10 + 1));
     EXPECT_TRUE(ring.push(round * 10 + 2));
     EXPECT_TRUE(ring.push(round * 10 + 3));
@@ -38,6 +39,27 @@ TEST(RingBuffer, PushPopWrapsAround) {
     EXPECT_EQ(out, round * 10 + 3);
     EXPECT_TRUE(ring.empty());
     EXPECT_FALSE(ring.pop(out));
+  }
+}
+
+TEST(RingBuffer, PartialDrainsWrapAround) {
+  RingBuffer<int> ring(3);
+  int next_in = 0;
+  int next_out = 0;
+  ASSERT_TRUE(ring.push(next_in++));
+  for (int round = 0; round < 7; ++round) {
+    // Two in, two out, one always left behind: head and tail walk the
+    // whole capacity and wrap instead of rewinding.
+    ASSERT_TRUE(ring.push(next_in++));
+    ASSERT_TRUE(ring.push(next_in++));
+    EXPECT_TRUE(ring.full());
+    for (int k = 0; k < 2; ++k) {
+      int out = -1;
+      ASSERT_TRUE(ring.pop(out));
+      EXPECT_EQ(out, next_out++);
+    }
+    EXPECT_EQ(ring.size(), 1);
+    EXPECT_EQ(ring.front(), next_out);
   }
 }
 

@@ -1,4 +1,4 @@
-// Steady-state allocation audit for the streaming sessions.
+// Steady-state allocation audit for the streaming sessions and the pump.
 //
 // This TU replaces the global allocation functions with counting versions
 // (which is why it builds into its own test binary, evd_alloc_tests): the
@@ -9,8 +9,11 @@
 //            allocation-free after session construction;
 //   * CNN  — per-event ingest is allocation-free; the dense forward at a
 //            frame close may allocate (bounded by the frame clock);
-//   * SNN  — per-event binning is allocation-free; net().step() at a
-//            timestep boundary may allocate (bounded by the step clock).
+//   * SNN  — the ENTIRE streaming path (per-event binning, and the timestep
+//            itself on both the clocked and the event-driven route, readout
+//            and decision included) is allocation-free after warm-up.
+// And for the runtime: a SessionManager::pump() round with nothing queued
+// allocates nothing, and neither does a round that serves SNN sessions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +23,8 @@
 
 #include "cnn/cnn_pipeline.hpp"
 #include "gnn/gnn_pipeline.hpp"
+#include "route/route.hpp"
+#include "runtime/session_manager.hpp"
 #include "snn/snn_pipeline.hpp"
 
 namespace {
@@ -126,6 +131,80 @@ TEST(ZeroAlloc, SnnIntraStepFeedIsAllocationFree) {
     for (Index i = 0; i < 500; ++i) session->feed(event_at(i, t += 100));
   });
   EXPECT_EQ(allocs, 0) << "SNN event binning must not touch the heap";
+}
+
+snn::SnnPipelineConfig stepping_snn_config() {
+  snn::SnnPipelineConfig config;
+  config.width = 16;
+  config.height = 16;
+  config.num_classes = 3;
+  // Two neuron chunks on the clocked route, so its fork-join and chunk
+  // concatenation both run inside the measured window.
+  config.hidden = 200;
+  config.encoder.spatial_factor = 2;
+  config.timestep_us = 1000;
+  return config;
+}
+
+TEST(ZeroAlloc, SnnTimestepIsAllocationFreeOnBothRoutes) {
+  snn::SnnPipeline pipeline(stepping_snn_config());
+  for (const route::PathId path :
+       {route::PathId::Default, route::PathId::SnnEventDriven}) {
+    auto session = pipeline.open_session(16, 16);
+    ASSERT_TRUE(session->set_execution_path(path));
+
+    // Warm-up: a few steps, so the pool's threads, the thread-local obs
+    // shards and the transposed weights are all behind us.
+    TimeUs t = 0;
+    for (Index i = 0; i < 50; ++i) session->feed(event_at(i * 7, t += 300));
+
+    const std::int64_t before = session->stats().decisions_emitted;
+    const std::int64_t allocs = allocations_during([&] {
+      for (Index i = 0; i < 2000; ++i) {
+        session->feed(event_at(i * 5, t += 250));  // a step every 4 events
+      }
+      session->advance_to(t + 20000);  // 20 silent steps
+    });
+    EXPECT_EQ(allocs, 0) << "SNN timesteps on route "
+                         << route::path_name(path)
+                         << " must not touch the heap";
+    EXPECT_GE(session->stats().decisions_emitted - before, 500);
+  }
+}
+
+TEST(ZeroAlloc, IdleSessionManagerPumpIsAllocationFree) {
+  snn::SnnPipelineConfig config = stepping_snn_config();
+  config.hidden = 16;
+  snn::SnnPipeline pipeline(config);
+  SessionManager manager(/*burst=*/8);
+  constexpr Index kSessions = 200;  // a four-word ready set
+  for (Index s = 0; s < kSessions; ++s) {
+    manager.add(pipeline.open_session(16, 16));
+  }
+  // Warm-up: serve every session once, then drain to idle.
+  TimeUs t = 0;
+  for (Index s = 0; s < kSessions; ++s) {
+    manager.submit(s, event_at(s, t += 10));
+  }
+  manager.pump_all();
+
+  const std::int64_t idle = allocations_during([&] {
+    for (Index round = 0; round < 1000; ++round) {
+      EXPECT_EQ(manager.pump(), 0);
+    }
+  });
+  EXPECT_EQ(idle, 0) << "an idle pump() round must not touch the heap";
+
+  // A working round on a few sessions, SNN timesteps included.
+  const std::int64_t working = allocations_during([&] {
+    for (Index round = 0; round < 100; ++round) {
+      for (Index s = round % 10; s < kSessions; s += 37) {
+        manager.submit(s, event_at(s + round, t += 400));
+      }
+      manager.pump_all();
+    }
+  });
+  EXPECT_EQ(working, 0) << "serving SNN sessions must not touch the heap";
 }
 
 }  // namespace

@@ -192,5 +192,82 @@ TEST(SpikingNet, ParamCount) {
   EXPECT_EQ(net.param_count(), 6 * 5 + 5 + 5 * 3 + 3);
 }
 
+TEST(SpikingNet, ClockedForkJoinMatchesEventDrivenStepBitwise) {
+  // Hidden layers of 300 and 130 neurons span three and two neuron chunks,
+  // so the clocked route forks and concatenates chunk spike lists while the
+  // event-driven route makes one kernel call per layer.
+  SpikingNetConfig config;
+  config.layer_sizes = {24, 300, 130, 4};
+  config.lif.beta = 0.9f;
+  config.lif.threshold = 0.5f;
+  Rng rng(31);
+  SpikingNet net(config, rng);
+  const auto train = random_train(40, 24, 0.3, 32);
+  SnnState clocked = net.make_state();
+  SnnState event = net.make_state();
+  Index hidden_spikes = 0;
+  for (Index t = 0; t < train.steps; ++t) {
+    const auto& in = train.active[static_cast<size_t>(t)];
+    const nn::Tensor a = net.step(clocked, in);
+    const nn::Tensor b = net.step_event(event, in);
+    ASSERT_EQ(a.vec(), b.vec()) << "step " << t;
+    ASSERT_EQ(clocked.step_hidden_spikes, event.step_hidden_spikes);
+    ASSERT_EQ(clocked.membrane, event.membrane) << "step " << t;
+    hidden_spikes += clocked.step_hidden_spikes;
+  }
+  EXPECT_GT(hidden_spikes, 0);  // the comparison saw spikes, not silence
+}
+
+TEST(SpikingNet, TrainedNetServesWithoutRederivingItsTransposedWeights) {
+  Rng rng(21);
+  SpikingNet net(small_config(), rng);
+  std::vector<SpikeTrain> inputs;
+  std::vector<Index> labels;
+  for (Index i = 0; i < 6; ++i) {
+    inputs.push_back(random_train(5, 6, 0.4, 100 + static_cast<std::uint64_t>(i)));
+    labels.push_back(i % 3);
+  }
+  SnnFitOptions options;
+  options.epochs = 2;
+  fit_snn(net, inputs, labels, options);
+
+  // Serving after training: the weights stop moving, so the transposed
+  // copies are derived at most once more, however many steps follow.
+  const std::uint64_t before = net.transposed_builds();
+  SnnState state = net.make_state();
+  for (Index t = 0; t < 200; ++t) {
+    net.step_into(state, inputs[static_cast<size_t>(t % 6)].active[0],
+                  /*event_driven=*/t % 2 == 0);
+  }
+  EXPECT_LE(net.transposed_builds() - before, 1u);
+}
+
+TEST(SpikingNet, WeightWrittenThroughAPublicHandleIsSeenByTheNextStep) {
+  Rng rng(22);
+  SpikingNetConfig config = small_config();
+  config.layer_sizes = {6, 40, 3};  // wide enough for the vector tiers'
+                                    // transposed-weight path
+  SpikingNet net(config, rng);
+  SnnState probe = net.make_state();
+  const std::vector<Index> all_inputs = {0, 1, 2, 3, 4, 5};
+  net.step(probe, all_inputs);  // builds the transposed copies
+
+  // Silence every hidden neuron through the handle; the next step (from a
+  // fresh state) must see it: no hidden spikes at all.
+  nn::Param& w = net.weight(0);
+  w.value.fill(-10.0f);
+  SnnState state = net.make_state();
+  net.step(state, all_inputs);
+  EXPECT_EQ(state.step_hidden_spikes, 0);
+
+  // And drive them all: every hidden neuron spikes.
+  for (nn::Param* p : net.params()) {
+    if (p->name == "W0") p->value.fill(10.0f);
+  }
+  SnnState driven = net.make_state();
+  net.step_event(driven, all_inputs);
+  EXPECT_EQ(driven.step_hidden_spikes, 40);
+}
+
 }  // namespace
 }  // namespace evd::snn
