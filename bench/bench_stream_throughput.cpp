@@ -20,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "check/oracles.hpp"
 #include "cnn/cnn_pipeline.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -518,7 +517,7 @@ bool gate_planner() {
   config.burst_cap = 256;
   const sched::Plan plan = sched::Planner::instance().plan_for(profiles, config);
   // Modeled baseline = the schedule the legacy pump actually runs: the
-  // s % 4 deal at the manager's burst (256), default placements, unfused.
+  // s % 4 deal at the manager's burst (256), default paths.
   const sched::CostModels models;
   sched::Plan legacy_schedule = sched::Plan::round_robin(8, 4, 256);
   const double legacy_modeled_us =
@@ -613,8 +612,8 @@ bool gate_planner() {
 // fraction of the declared dense work is ~6% — the regime where the
 // paper's event-driven side of the dichotomy wins. The session profiles
 // carry that measured activity, and the planner — searching only over
-// *proved* execution paths — must route the CNN placement onto cnn.sparse
-// and the SNN placement onto snn.event_driven.
+// oracle-proved execution paths — must route the CNN placement onto
+// cnn.sparse and the SNN placement onto snn.event_driven.
 //
 // Four legs:
 //   1. Path choice (every host): the annealed plan routes cnn -> cnn.sparse
@@ -734,10 +733,6 @@ bool gate_routing() {
   par::set_thread_count(4);
   const bool sched_was_enabled = sched::enabled();
   sched::set_enabled(true);
-  // Proved-gating: the planner may only route onto oracle-backed paths,
-  // and registering the route.* oracles is what marks them proved — the
-  // same entitlement step a serving binary performs at startup.
-  check::register_builtin_oracles();
 
   SparsePopulation population;
   std::vector<sched::SessionProfile> profiles;

@@ -606,8 +606,6 @@ Gen<GnnAsyncCase> gnn_async_case_gen() {
       const auto at =
           static_cast<Index>(rng.uniform_int(static_cast<std::uint64_t>(n)));
       c.checkpoint_at = rng.bernoulli(0.4) ? at : -1;
-      c.batch_every =
-          rng.bernoulli(0.3) ? 1 + static_cast<Index>(rng.uniform_int(4)) : 0;
     }
     for (Index i = 0; i < n; ++i) {
       gnn::GraphNode node;
@@ -653,7 +651,6 @@ Gen<GnnAsyncCase> gnn_async_case_gen() {
     if (c.checkpoint_at >= 0) {
       with([](GnnAsyncCase& k) { k.checkpoint_at = -1; });
     }
-    if (c.batch_every > 0) with([](GnnAsyncCase& k) { k.batch_every = 0; });
     if (c.layers > 1) with([](GnnAsyncCase& k) { --k.layers; });
     for (size_t i = 0; i < c.neighbors.size(); ++i) {
       if (c.neighbors[i].empty()) continue;
@@ -668,7 +665,6 @@ Gen<GnnAsyncCase> gnn_async_case_gen() {
        << " agg=" << (c.max_aggregation ? "max" : "mean")
        << (c.bidirectional ? " bidirectional" : " causal")
        << " node_cap=" << c.node_cap << " checkpoint_at=" << c.checkpoint_at
-       << " batch_every=" << c.batch_every
        << " weight_seed=" << c.weight_seed;
     return os.str();
   };
@@ -849,19 +845,13 @@ std::optional<std::string> diff_gnn_two_step_vs_direct(
       engine->load(r);
       r.expect_end();
     }
-    const bool batch = c.batch_every > 0 &&
-                       static_cast<Index>(i) % c.batch_every == 0;
     const gnn::AsyncGnnStats got =
-        batch ? engine->insert_batch(c.nodes[i], c.neighbors[i])
-              : insert(*engine, c.nodes[i], c.neighbors[i]);
-    // insert_batch is bitwise-equal to insert in state, not in stats.
+        insert(*engine, c.nodes[i], c.neighbors[i]);
     const gnn::AsyncGnnStats want = direct.insert(c.nodes[i], c.neighbors[i]);
-    if (!batch) {
-      if (auto d = diff_scalar(at + "one-step MAC count",
-                               static_cast<double>(got.macs),
-                               static_cast<double>(want.macs))) {
-        return d;
-      }
+    if (auto d = diff_scalar(at + "one-step MAC count",
+                             static_cast<double>(got.macs),
+                             static_cast<double>(want.macs))) {
+      return d;
     }
     for (Index l = 0; l < c.layers; ++l) {
       for (Index v = 0; v < direct.node_count(); ++v) {
@@ -1486,8 +1476,8 @@ std::optional<std::string> diff_planned(Pipeline& pipeline,
         for (size_t s = 0; s < c.sessions.size(); ++s) {
           ids.push_back(manager.add(pipeline.open_session(c.width, c.height)));
         }
-        // Anneal a plan for this population: fused stages, re-drawn bursts,
-        // re-partitioned regions — whatever the search likes for this seed.
+        // Anneal a plan for this population: re-drawn bursts, re-partitioned
+        // regions, re-drawn paths — whatever the search likes for this seed.
         std::vector<sched::SessionProfile> profiles(
             c.sessions.size(), sched::profile_for(pipeline, paradigm, 16));
         sched::AnnealerConfig search;
@@ -1576,9 +1566,9 @@ namespace {
 
 /// Default-path sequential reference, then the same ops through sessions
 /// pinned to `forced` (route::PathId) and served on 4 workers. This is the
-/// per-placement equivalence proof behind PathRegistry::mark_proved: a
-/// plan may re-route a paradigm's hot stage onto this variant only because
-/// this oracle holds the decision streams bitwise identical (ULP 0).
+/// per-placement equivalence proof behind route::routable: a plan may
+/// re-route a paradigm's hot stage onto this variant only because this
+/// oracle holds the decision streams bitwise identical (ULP 0).
 template <typename Pipeline>
 std::optional<std::string> diff_route(Pipeline& pipeline, route::PathId forced,
                                       const MultiSessionSchedule& c) {
@@ -1661,19 +1651,6 @@ std::optional<std::string> diff_route_snn_clocked_vs_event(
   config.timestep_us = 5000;
   snn::SnnPipeline pipeline(config);
   return diff_route(pipeline, route::PathId::SnnEventDriven, c);
-}
-
-std::optional<std::string> diff_route_gnn_batch_vs_incremental(
-    const MultiSessionSchedule& c) {
-  gnn::GnnPipelineConfig config;
-  config.width = kMuxGeometry;
-  config.height = kMuxGeometry;
-  config.num_classes = 2;
-  config.model.hidden = 8;
-  config.model.layers = 2;
-  config.stream_stride = 2;
-  gnn::GnnPipeline pipeline(config);
-  return diff_route(pipeline, route::PathId::GnnBatch, c);
 }
 
 // ---- shard: sharded serving vs the sequential reference -------------------
@@ -1878,7 +1855,7 @@ void register_builtin_oracles() {
         "gnn.two_step_vs_direct",
         "AsyncEventGnn with its projection cache vs one-step apply_node "
         "recomputation: causal and bidirectional, Max and Mean, reset() "
-        "recycling, insert_batch and checkpoint restore (0 ULPs)",
+        "recycling and checkpoint restore (0 ULPs)",
         gnn_async_case_gen(), [](const GnnAsyncCase& c) {
           return diff_gnn_two_step_vs_direct(c);
         }));
@@ -1946,11 +1923,6 @@ void register_builtin_oracles() {
         "decision stream of the default clocked path",
         multiplex_case_gen(), diff_route_snn_clocked_vs_event));
     registry().add(make_diff_oracle<MultiSessionSchedule>(
-        "route.gnn_batch_vs_incremental",
-        "GNN sessions routed onto the full-sweep batch message pass emit "
-        "the exact decision stream of the default incremental path",
-        multiplex_case_gen(), diff_route_gnn_batch_vs_incremental));
-    registry().add(make_diff_oracle<MultiSessionSchedule>(
         "shard.sharded_vs_sequential.cnn",
         "CNN sessions spread over 3 shards (private managers behind "
         "lock-free ingress rings) pumped on 4 workers emit the exact "
@@ -1971,12 +1943,6 @@ void register_builtin_oracles() {
         "Sessions checkpoint-migrated between shards mid-stream emit the "
         "exact decision stream of a never-migrated run",
         multiplex_case_gen(), diff_shard_migration_replay));
-    // Registering the route.* oracles is what entitles the planner to
-    // choose these variants: the suite runs them in CI, so the proved
-    // marks below are never ahead of an actual equivalence proof.
-    route::PathRegistry::instance().mark_proved(route::PathId::CnnSparse);
-    route::PathRegistry::instance().mark_proved(route::PathId::SnnEventDriven);
-    route::PathRegistry::instance().mark_proved(route::PathId::GnnBatch);
     return true;
   }();
   (void)registered;

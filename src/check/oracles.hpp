@@ -34,8 +34,8 @@
 //                                decision stream of a never-faulted run
 //   sched.plan_vs_sequential.{cnn,snn,gnn}
 //                                sessions pumped under an annealer-chosen
-//                                execution plan (fused stages, per-entry
-//                                bursts, re-partitioned worker regions) vs
+//                                execution plan (per-entry bursts,
+//                                re-partitioned worker regions) vs
 //                                direct sequential feeding — decision
 //                                streams must match bitwise (the planner's
 //                                equivalence contract)
@@ -43,11 +43,6 @@
 //                                path vs the default path — bitwise
 //   route.snn_clocked_vs_event   SNN sessions pinned to event-driven
 //                                stepping vs default clocked — bitwise
-//   route.gnn_batch_vs_incremental
-//                                GNN sessions pinned to the full-sweep
-//                                batch message pass vs default incremental
-//                                — bitwise (registration of these three is
-//                                what marks the paths proved/routable)
 //   shard.sharded_vs_sequential.{cnn,snn,gnn}
 //                                sessions spread over N shard groups (each
 //                                its own manager + lock-free ingress ring)
@@ -182,7 +177,6 @@ struct GnnAsyncCase {
   bool bidirectional = false;
   Index node_cap = 0;        ///< reset() at this many nodes (0: never).
   Index checkpoint_at = -1;  ///< Causal: save/load into a fresh engine first.
-  Index batch_every = 0;     ///< Causal: every k-th insert is insert_batch.
   std::vector<gnn::GraphNode> nodes;
   std::vector<std::vector<Index>> neighbors;  ///< Earlier ids, current graph.
 };
@@ -273,14 +267,11 @@ std::optional<std::string> diff_gnn_plan_vs_sequential(
 /// reference), then serve the same schedule on 4 workers with every
 /// session pinned to the named variant via set_execution_path, and require
 /// bitwise-identical decision streams (ULP 0). These are the per-placement
-/// equivalence proofs that make a path routable: register_builtin_oracles
-/// marks CnnSparse / SnnEventDriven / GnnBatch proved exactly because it
-/// registers these oracles into the CI-run suite.
+/// equivalence proofs for the two routable variants (route::routable);
+/// CI runs them on every change.
 std::optional<std::string> diff_route_cnn_sparse_vs_dense(
     const MultiSessionSchedule& c);
 std::optional<std::string> diff_route_snn_clocked_vs_event(
-    const MultiSessionSchedule& c);
-std::optional<std::string> diff_route_gnn_batch_vs_incremental(
     const MultiSessionSchedule& c);
 
 // ---- shard: sharded serving vs the sequential reference -------------------

@@ -157,8 +157,8 @@ class EventPipeline {
 
   /// Declared streaming-stage structure for the execution planner (see
   /// core/stages.hpp). The default — no stages — makes the pipeline opaque
-  /// to the planner: it is scheduled as a single unfusable unit of unknown
-  /// cost. All three built-in paradigms override this.
+  /// to the planner: it is scheduled as a single unit of unknown cost. All
+  /// three built-in paradigms override this.
   virtual std::vector<StageInfo> stream_stages() const { return {}; }
 
   /// Learnable parameter count.

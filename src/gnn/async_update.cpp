@@ -236,8 +236,9 @@ bool AsyncEventGnn::recompute(Index layer, Index v, AsyncGnnStats& stats) {
   return true;
 }
 
-Index AsyncEventGnn::insert_structural(const GraphNode& node,
-                                       std::span<const Index> neighbors) {
+AsyncGnnStats AsyncEventGnn::insert(const GraphNode& node,
+                                    std::span<const Index> neighbors) {
+  AsyncGnnStats stats;
   const Index id = count_;
   const auto sid = static_cast<size_t>(id);
   if (sid < nodes_.size()) {
@@ -272,13 +273,6 @@ Index AsyncEventGnn::insert_structural(const GraphNode& node,
       out_adj_[sid].push_back(j);
     }
   }
-  return id;
-}
-
-AsyncGnnStats AsyncEventGnn::insert(const GraphNode& node,
-                                    std::span<const Index> neighbors) {
-  AsyncGnnStats stats;
-  const Index id = insert_structural(node, neighbors);
 
   if (!bidirectional_) {
     // Causal fast path, equivalent to the generic propagation below: edges
@@ -313,43 +307,6 @@ AsyncGnnStats AsyncEventGnn::insert(const GraphNode& node,
     }
     if (next.empty()) break;
     dirty = std::move(next);
-  }
-  return stats;
-}
-
-AsyncGnnStats AsyncEventGnn::insert_batch(const GraphNode& node,
-                                          std::span<const Index> neighbors) {
-  if (bidirectional_) {
-    // The batch sweep's bitwise-equivalence argument relies on existing
-    // nodes' in-neighbourhoods being immutable; bidirectional insertion
-    // violates that, so route through the generic dirty-set propagation.
-    return insert(node, neighbors);
-  }
-  AsyncGnnStats stats;
-  insert_structural(node, neighbors);
-
-  // Full-graph layer sweep with a PER-NODE early break: every node starts
-  // active, is re-evaluated at each layer while active, and drops out the
-  // first time its recompute reports no change. The per-node rule is what
-  // keeps the sweep bitwise-identical to insert(): an existing node's
-  // layer-0 recompute reproduces its stored features exactly (inputs and
-  // in-neighbourhood are immutable under causal insertion) and deactivates
-  // it, while the new node follows precisely the incremental path's
-  // layer-by-layer break. A shared any-node-changed break would instead
-  // drag early-converged nodes to deeper layers, where a bias-driven fresh
-  // value can spuriously differ from their (never-computed) stored zeros.
-  // Net effect: identical state evolution, full-sweep stats — the O(N)-
-  // per-event cost the planner prices against the incremental path.
-  active_.assign(static_cast<size_t>(count_), 1);
-  for (Index l = 0; l < model_.conv_count(); ++l) {
-    bool any_changed = false;
-    for (Index v = 0; v < count_; ++v) {
-      if (!active_[static_cast<size_t>(v)]) continue;
-      const bool changed = recompute(l, v, stats);
-      active_[static_cast<size_t>(v)] = changed ? 1 : 0;
-      any_changed |= changed;
-    }
-    if (!any_changed) break;
   }
   return stats;
 }

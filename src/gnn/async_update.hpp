@@ -57,22 +57,6 @@ class AsyncEventGnn {
   /// Insert a node with its (earlier) neighbour ids, update features.
   AsyncGnnStats insert(const GraphNode& node, std::span<const Index> neighbors);
 
-  /// Batch-discipline insert: the same structural insertion, but the
-  /// message pass re-evaluates the WHOLE graph layer by layer (every node,
-  /// index order) instead of only the incremental frontier, carrying each
-  /// node forward to the next layer only while its features keep changing.
-  /// In causal mode this is bitwise-identical to insert() by construction:
-  /// existing nodes' in-neighbourhoods and inputs never change, so their
-  /// layer-0 re-evaluations reproduce their stored features exactly and
-  /// drop them from the sweep — the state evolution (features, pools, and
-  /// therefore every decision) matches the incremental path bit for bit,
-  /// while the stats record the full-sweep work. That equality is what the
-  /// route.gnn_batch_vs_incremental oracle pins at ULP 0, and the modeled
-  /// cost gap (O(N) sweep vs O(degree) frontier) is what the planner
-  /// prices when routing. Bidirectional graphs fall back to insert().
-  AsyncGnnStats insert_batch(const GraphNode& node,
-                             std::span<const Index> neighbors);
-
   /// Current logits from the running pooled representation.
   nn::Tensor logits();
 
@@ -118,12 +102,6 @@ class AsyncEventGnn {
 
   /// Recompute features of node v at conv layer l; returns true if changed.
   bool recompute(Index layer, Index v, AsyncGnnStats& stats);
-
-  /// Shared structural half of insert()/insert_batch(): slot fill,
-  /// adjacency + zeroed features and projections, neighbour validation.
-  /// Returns the new id.
-  Index insert_structural(const GraphNode& node,
-                          std::span<const Index> neighbors);
 
   /// Grow the node stores to `n` slots (never shrinks).
   void ensure_slots(size_t n);
@@ -178,7 +156,6 @@ class AsyncEventGnn {
   // an AsyncEventGnn, so plain members are safe).
   std::vector<GraphConv::NeighborRef> refs_;
   std::vector<float> fresh_;  ///< Sized to the widest layer at construction.
-  std::vector<std::uint8_t> active_;  ///< insert_batch() sweep frontier.
   nn::Tensor pooled_scratch_;
 };
 

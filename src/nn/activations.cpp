@@ -19,10 +19,11 @@ Tensor ReLU::forward(const Tensor& input, bool train) {
       ++zeros;
     }
   }
-  last_sparsity_ = output.numel() > 0
-                       ? static_cast<double>(zeros) /
-                             static_cast<double>(output.numel())
-                       : 0.0;
+  last_sparsity_.store(output.numel() > 0
+                           ? static_cast<double>(zeros) /
+                                 static_cast<double>(output.numel())
+                           : 0.0,
+                       std::memory_order_relaxed);
   count_compare(output.numel());
   count_act_read(input.numel() * 4);
   count_act_write(output.numel() * 4);

@@ -3,6 +3,8 @@
 // path and ablations.
 #pragma once
 
+#include <atomic>
+
 #include "nn/layer.hpp"
 
 namespace evd::nn {
@@ -13,12 +15,16 @@ class ReLU : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
 
-  /// Output sparsity of the most recent forward (fraction of zeros).
-  double last_sparsity() const noexcept { return last_sparsity_; }
+  /// Output sparsity of the most recent forward (fraction of zeros). An
+  /// inference forward on a model shared by concurrent sessions also
+  /// records it, hence the atomic: the value is the last writer's.
+  double last_sparsity() const noexcept {
+    return last_sparsity_.load(std::memory_order_relaxed);
+  }
 
  private:
   Tensor mask_;  ///< 1 where input > 0.
-  double last_sparsity_ = 0.0;
+  std::atomic<double> last_sparsity_{0.0};
 };
 
 class LeakyReLU : public Layer {

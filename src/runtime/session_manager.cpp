@@ -379,14 +379,21 @@ void SessionManager::set_replan(ReplanHook hook, Index window) {
   replan_hook_ = std::move(hook);
   replan_window_ = window < 1 ? 1 : window;
   replan_rounds_ = 0;
-  backlog_accum_.assign(slots_.size(), 0);
+  resize_replan_window(static_cast<Index>(slots_.size()));
   workload_fp_ = 0;
+}
+
+void SessionManager::resize_replan_window(Index n) {
+  const auto size = static_cast<size_t>(n);
+  backlog_accum_.assign(size, 0);
+  replan_backlog_.assign(size, 0);
+  replan_activity_.assign(size, 1.0);
 }
 
 void SessionManager::maybe_replan(Index n) {
   if (static_cast<Index>(backlog_accum_.size()) != n) {
     // Population changed mid-window: restart the estimate.
-    backlog_accum_.assign(static_cast<size_t>(n), 0);
+    resize_replan_window(n);
     replan_rounds_ = 0;
   }
   for (Index i = 0; i < n; ++i) {
@@ -401,16 +408,14 @@ void SessionManager::maybe_replan(Index n) {
   // eighths for the same reason: a stream crossing from sparse to dense is
   // a mix drift (the sparse-path pricing is stale) even when its backlog
   // holds steady.
-  std::vector<Index> backlog(static_cast<size_t>(n), 0);
-  std::vector<double> activity(static_cast<size_t>(n), 1.0);
   std::uint64_t fp = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
   for (Index i = 0; i < n; ++i) {
     const Slot& sl = *slots_[static_cast<size_t>(i)];
     const std::int64_t avg =
         backlog_accum_[static_cast<size_t>(i)] / replan_window_;
-    backlog[static_cast<size_t>(i)] = static_cast<Index>(avg);
+    replan_backlog_[static_cast<size_t>(i)] = static_cast<Index>(avg);
     const double act = sl.session ? sl.session->activity_estimate() : 0.0;
-    activity[static_cast<size_t>(i)] = act;
+    replan_activity_[static_cast<size_t>(i)] = act;
     std::uint8_t bucket = 0;
     for (std::int64_t v = avg; v > 0; v >>= 1) ++bucket;
     fp ^= bucket;
@@ -425,8 +430,8 @@ void SessionManager::maybe_replan(Index n) {
   std::fill(backlog_accum_.begin(), backlog_accum_.end(), 0);
   if (fp == workload_fp_) return;
   workload_fp_ = fp;
-  if (auto plan = replan_hook_(std::span<const Index>(backlog),
-                               std::span<const double>(activity))) {
+  if (auto plan = replan_hook_(std::span<const Index>(replan_backlog_),
+                               std::span<const double>(replan_activity_))) {
     // A stale hook result (population changed under it) is dropped rather
     // than tripping set_plan's count check mid-serving.
     if (plan->session_count == n) set_plan(std::move(*plan));

@@ -180,12 +180,13 @@ class SessionManager {
   /// bucketed to eighths), and fingerprinted; a changed fingerprint hands
   /// the averaged backlog (ops per round) and the live activity (both one
   /// entry per session) to the hook. A returned plan is installed via
-  /// set_plan (routes included); nullopt keeps the current plan. The hook
-  /// runs on the pumping thread, outside the parallel region — callers
-  /// typically close over their pipelines, fold the activity into each
-  /// session's sched::SessionProfile, and delegate to the fingerprint-keyed
-  /// Planner cache, so a repeated mix costs one lookup, not an anneal. A
-  /// stream that turns dense mid-run therefore re-plans off the sparse /
+  /// set_plan (routes included); nullopt keeps the current plan, and then
+  /// the window close allocates nothing. The hook runs on the pumping
+  /// thread, outside the parallel region — callers typically close over
+  /// their pipelines, fold the activity into each session's
+  /// sched::SessionProfile, and delegate to the fingerprint-keyed Planner
+  /// cache, so a repeated mix costs one lookup, not an anneal. A stream
+  /// that turns dense mid-run therefore re-plans off the sparse /
   /// event-driven paths the old mix priced as cheap. The hook must return a
   /// valid plan for the current population.
   using ReplanHook = std::function<std::optional<sched::Plan>(
@@ -385,6 +386,8 @@ class SessionManager {
   void apply_routes() noexcept;
   /// Windowed backlog bookkeeping + drift-triggered hook invocation.
   void maybe_replan(Index n);
+  /// Size the re-plan window buffers for `n` sessions and zero the sums.
+  void resize_replan_window(Index n);
 
   Index burst_;
   std::string instrument_label_;  ///< Obs label fragment, e.g. `shard="2"`.
@@ -403,6 +406,10 @@ class SessionManager {
   Index replan_window_ = 16;
   Index replan_rounds_ = 0;
   std::vector<std::int64_t> backlog_accum_;  ///< Per-session window sums.
+  // What the hook is handed: window-average backlog and activity per
+  // session. Sized with backlog_accum_, so a window close allocates nothing.
+  std::vector<Index> replan_backlog_;
+  std::vector<double> replan_activity_;
   std::uint64_t workload_fp_ = 0;
   std::atomic<std::int64_t> queued_ops_{0};
   std::int64_t capacity_total_ = 0;

@@ -13,23 +13,21 @@
 //                        until every backlog drains
 //
 // per_op_cost_us prices a session's declared stage chain (core/stages.hpp)
-// on the paradigm's placed HwModel, duty-weighted. Unfused stage
-// boundaries additionally pay their intermediate activation traffic
-// through SRAM at `sram_bytes_per_us`; fusing removes that charge but a
-// fused group whose working set exceeds `fused_sram_budget_bytes` spills
-// and pays `spill_penalty` on its compute instead — which is what makes
-// fusion a genuine search decision rather than a free win.
+// duty-weighted, on one fixed model per paradigm: the CNN on the systolic
+// array, the SNN on the digital neuromorphic core, the GNN on the
+// gather-apply engine. Every stage boundary additionally pays its
+// intermediate activation traffic through SRAM at `sram_bytes_per_us`.
 #pragma once
 
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/stages.hpp"
 #include "hw/gnn_accel.hpp"
 #include "hw/snn_core.hpp"
 #include "hw/systolic.hpp"
-#include "hw/zero_skip.hpp"
 #include "sched/plan.hpp"
 
 namespace evd::sched {
@@ -42,23 +40,20 @@ struct SessionProfile {
   std::vector<core::StageInfo> stages;
   Index queued_ops = 64;
   /// Fraction of the paradigm's nominal dense work that is live on this
-  /// session's input (1.0 = fully dense). Activity-scaled execution paths
-  /// (sparse conv, event-driven stepping — route::CostShape) price their
+  /// session's input (1.0 = fully dense). The non-default execution paths
+  /// (sparse conv, event-driven stepping — route::PathId) price their
   /// compute and parameter traffic against this; clamped to [0.05, 1] so a
   /// silent stream can never model a free path.
   double activity = 1.0;
 };
 
-/// Cost-model parameter set: one config per placeable HwModel plus the
-/// boundary-traffic / fusion constants. Defaults model a single edge SoC
-/// hosting all three accelerator families.
+/// Cost-model parameter set: one accelerator config per paradigm plus the
+/// boundary-traffic and scheduling constants. Defaults model a single edge
+/// SoC hosting all three accelerator families.
 struct CostModels {
-  hw::SystolicConfig systolic;
-  hw::ZeroSkipConfig zero_skip;
-  hw::SnnCoreConfig snn_digital;
-  hw::SnnCoreConfig snn_analog;
-  hw::GnnAccelConfig gnn_small;
-  hw::GnnAccelConfig gnn_large;
+  hw::SystolicConfig systolic;   ///< Prices "cnn" (and unknown paradigms).
+  hw::SnnCoreConfig snn_core;    ///< Prices "snn": digital core.
+  hw::GnnAccelConfig gnn_accel;  ///< Prices "gnn": 16-lane engine.
   double sram_bytes_per_us = 8192.0;  ///< Boundary activation drain rate.
   double visit_overhead_us = 0.5;     ///< Scheduling cost per region visit.
   /// Fork-join cost of one pump() round (the pool dispatch + barrier every
@@ -67,8 +62,6 @@ struct CostModels {
   /// imbalance but multiply the round count, and the round overhead is how
   /// the model sees that trade.
   double round_overhead_us = 10.0;
-  double fused_sram_budget_bytes = 65536.0;  ///< On-chip working-set cap.
-  double spill_penalty = 2.0;  ///< Compute factor once a fused group spills.
   /// Host workers available to pump regions. plan_cost_us models the
   /// executor's static region->worker assignment (region r on worker
   /// r % W, W = min(regions, host_workers)) instead of assuming every
@@ -76,22 +69,17 @@ struct CostModels {
   /// (par::thread_count()) at costing time; tests and golden snapshots pin
   /// an explicit value so fingerprints do not depend on the build host.
   Index host_workers = 0;
-  /// Compute/traffic multiplier a FullSweep path (route::CostShape) pays
-  /// relative to the declared per-op counters: the batch message pass
-  /// re-touches the whole graph per event where the declared counters
-  /// describe the incremental frontier.
-  double full_sweep_factor = 8.0;
 
   CostModels();  ///< Fills the paradigm-specific defaults.
 };
 
-/// Price `work` (an aggregated, duty-weighted OpCounter) on one model.
-double model_latency_us(const nn::OpCounter& work, HwModel hw,
+/// Price `work` (an aggregated, duty-weighted OpCounter) on the model of
+/// `paradigm` ("cnn" / "snn" / "gnn"; anything else prices as "cnn").
+double model_latency_us(const nn::OpCounter& work, std::string_view paradigm,
                         const CostModels& models);
 
-/// Modeled cost of one op flowing through `profile`'s stage chain under
-/// `placement` (hw choice + fusion groups). Sessions whose paradigm has no
-/// placement use the first allowed model, unfused.
+/// Modeled cost of one op flowing through `profile`'s stage chain on the
+/// execution path `placement` selects (Default when null).
 double per_op_cost_us(const SessionProfile& profile,
                       const ParadigmPlacement* placement,
                       const CostModels& models);

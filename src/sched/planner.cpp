@@ -3,7 +3,6 @@
 #include "common/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
-#include "route/route.hpp"
 
 namespace evd::sched {
 namespace {
@@ -33,7 +32,6 @@ std::uint64_t profiles_key(std::span<const SessionProfile> profiles,
       fnv_bytes(h, stage.name.data(), stage.name.size());
       fnv_bytes(h, &stage.per_op, sizeof(stage.per_op));
       fnv_bytes(h, &stage.duty, sizeof(stage.duty));
-      fnv_i64(h, stage.fusable_with_next ? 1 : 0);
     }
   }
   fnv_bytes(h, &config.seed, sizeof(config.seed));
@@ -43,16 +41,9 @@ std::uint64_t profiles_key(std::span<const SessionProfile> profiles,
   fnv_i64(h, config.region_count);
   fnv_i64(h, config.burst_cap);
   fnv_i64(h, config.restarts);
-  // Axes outside the profiles that still change the annealed plan: the
-  // host parallelism the default CostModels resolves (satellite of the
-  // worker-aware makespan) and the set of proved execution paths the path
-  // move may draw from (grows as route.* oracles register).
+  // The one axis outside the profiles that still changes the annealed
+  // plan: the host parallelism the default CostModels resolves.
   fnv_i64(h, par::thread_count());
-  for (const route::ExecutionPath& path :
-       route::PathRegistry::instance().paths()) {
-    fnv_i64(h, static_cast<std::int64_t>(path.id));
-    fnv_i64(h, route::PathRegistry::instance().proved(path.id) ? 1 : 0);
-  }
   return h;
 }
 

@@ -103,7 +103,6 @@ std::vector<core::StageInfo> SnnPipeline::stream_stages() const {
   step.per_op.zero_skippable_mults = static_cast<std::int64_t>(in) * hidden;
   step.per_op.param_bytes_read = param_count() * 4;
   step.per_op.state_bytes_rw = state_bytes() * 2;  // read + write membranes
-  step.fusable_with_next = true;  // readout can ride the same sweep
 
   core::StageInfo readout;
   readout.name = "snn.readout";
@@ -271,8 +270,7 @@ class SnnStreamSession : public runtime::SessionBase {
       // Routed stepping discipline: the event-driven path runs each layer
       // as one spike-driven kernel call instead of the chunked fork-join —
       // bitwise-identical logits (route.snn_clocked_vs_event), different
-      // scheduling cost. SnnClocked and Default both name the built-in
-      // clocked path.
+      // scheduling cost. Default is the built-in clocked path.
       const bool event_driven =
           route::enabled() &&
           execution_path() == route::PathId::SnnEventDriven;

@@ -135,7 +135,6 @@ TEST(FaultInjectionTest, SkippedProjectionRefreshIsCaught) {
     c.bidirectional = true;
     c.layers = std::max<Index>(c.layers, 2);
     c.checkpoint_at = -1;
-    c.batch_every = 0;
     const auto width = static_cast<size_t>(c.hidden);
     bool injected = false;
     return diff_gnn_two_step_vs_direct(

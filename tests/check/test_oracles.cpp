@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "check/oracles.hpp"
 #include "route/route.hpp"
@@ -43,7 +44,7 @@ TEST_F(OracleTest, RegistryHasAllBuiltinPairs) {
         "runtime.fault_isolation", "runtime.checkpoint_replay",
         "sched.plan_vs_sequential.cnn", "sched.plan_vs_sequential.snn",
         "sched.plan_vs_sequential.gnn", "route.cnn_sparse_vs_dense",
-        "route.snn_clocked_vs_event", "route.gnn_batch_vs_incremental",
+        "route.snn_clocked_vs_event",
         "shard.sharded_vs_sequential.cnn", "shard.sharded_vs_sequential.snn",
         "shard.sharded_vs_sequential.gnn", "shard.migration_replay"}) {
     const Oracle* oracle = registry().find(name);
@@ -155,10 +156,6 @@ TEST_F(OracleTest, SnnEventDrivenRouteMatchesDefaultPath) {
   expect_passes("route.snn_clocked_vs_event", 25);
 }
 
-TEST_F(OracleTest, GnnBatchRouteMatchesDefaultPath) {
-  expect_passes("route.gnn_batch_vs_incremental", 25);
-}
-
 TEST_F(OracleTest, CnnShardedServingMatchesSequential) {
   expect_passes("shard.sharded_vs_sequential.cnn", 15);
 }
@@ -175,23 +172,23 @@ TEST_F(OracleTest, ShardMigrationReplayIsBitwiseTransparent) {
   expect_passes("shard.migration_replay", 25);
 }
 
-TEST_F(OracleTest, RegisteringRouteOraclesProvesTheirPaths) {
-  // The proved marks ride on oracle registration (SetUpTestSuite above), so
-  // by now every variant with a route.* oracle must be routable and every
-  // paradigm's routable set must be Default + its proved variants.
-  auto& paths = route::PathRegistry::instance();
-  EXPECT_TRUE(paths.proved(route::PathId::CnnSparse));
-  EXPECT_TRUE(paths.proved(route::PathId::SnnEventDriven));
-  EXPECT_TRUE(paths.proved(route::PathId::GnnBatch));
-  const auto cnn = paths.routable("cnn");
-  EXPECT_NE(std::find(cnn.begin(), cnn.end(), route::PathId::CnnSparse),
-            cnn.end());
-  const auto snn = paths.routable("snn");
-  EXPECT_NE(std::find(snn.begin(), snn.end(), route::PathId::SnnEventDriven),
-            snn.end());
-  const auto gnn = paths.routable("gnn");
-  EXPECT_NE(std::find(gnn.begin(), gnn.end(), route::PathId::GnnBatch),
-            gnn.end());
+TEST_F(OracleTest, EveryRoutablePathHasARouteOracle) {
+  // A plan may only route a paradigm onto a variant whose decision stream
+  // a route.* oracle pins to the default path; adding a variant to the
+  // route table without one fails here.
+  const std::vector<std::pair<route::PathId, const char*>> proofs = {
+      {route::PathId::CnnSparse, "route.cnn_sparse_vs_dense"},
+      {route::PathId::SnnEventDriven, "route.snn_clocked_vs_event"}};
+  for (const char* paradigm : {"cnn", "snn", "gnn"}) {
+    for (const route::PathId path : route::routable(paradigm)) {
+      if (path == route::PathId::Default) continue;
+      const auto proof = std::find_if(
+          proofs.begin(), proofs.end(),
+          [path](const auto& p) { return p.first == path; });
+      ASSERT_NE(proof, proofs.end()) << route::path_name(path);
+      EXPECT_NE(registry().find(proof->second), nullptr) << proof->second;
+    }
+  }
 }
 
 // Forward-compatibility net: pairs added by later PRs are exercised even

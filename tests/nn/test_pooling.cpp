@@ -32,6 +32,23 @@ TEST(MaxPool2d, BackwardRoutesToArgmaxOnly) {
   EXPECT_FLOAT_EQ(gx.at3(0, 1, 1), 0.0f);
 }
 
+TEST(MaxPool2d, InferenceForwardLeavesBackwardStateAlone) {
+  // Backward follows the last *training* forward: a later inference
+  // forward (a serving session sharing the model) must not re-point it.
+  MaxPool2d pool(2);
+  Tensor x({1, 2, 2});
+  x.at3(0, 0, 1) = 4.0f;
+  pool.forward(x, true);
+  Tensor other({1, 2, 2});
+  other.at3(0, 1, 0) = 9.0f;
+  pool.forward(other, false);
+  Tensor g({1, 1, 1});
+  g[0] = 5.0f;
+  const Tensor gx = pool.backward(g);
+  EXPECT_FLOAT_EQ(gx.at3(0, 0, 1), 5.0f);
+  EXPECT_FLOAT_EQ(gx.at3(0, 1, 0), 0.0f);
+}
+
 TEST(MaxPool2d, GradCheck) {
   Rng rng(1);
   MaxPool2d pool(2);

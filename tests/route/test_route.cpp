@@ -1,11 +1,10 @@
-// evd::route unit suite: the path registry (enumeration, byte codec,
-// paradigm scoping, proved-gating), the EVD_ROUTE kill-switch, the
+// evd::route unit suite: the path table (enumeration, byte codec,
+// paradigm scoping, routable sets), the EVD_ROUTE kill-switch, the
 // thread-local ScopedConvAlgo override, the SessionBase routing contract,
 // and route application through SessionManager plans (set_plan /
 // clear_plan / plan bytes).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -45,11 +44,9 @@ sched::Plan routed_plan(Index sessions) {
   sched::Plan plan = sched::Plan::round_robin(sessions, 1, 2);
   sched::ParadigmPlacement cnn;
   cnn.paradigm = "cnn";
-  cnn.hw = sched::HwModel::ZeroSkip;
   cnn.path = PathId::CnnSparse;
   sched::ParadigmPlacement snn;
   snn.paradigm = "snn";
-  snn.hw = sched::HwModel::SnnCoreAnalog;
   snn.path = PathId::SnnEventDriven;
   plan.placements = {cnn, snn};
   plan.refresh_labels();
@@ -57,40 +54,35 @@ sched::Plan routed_plan(Index sessions) {
 }
 
 TEST(Route, RegistryEnumeratesEveryParadigmsVariants) {
-  auto& reg = PathRegistry::instance();
-  EXPECT_EQ(reg.paths().size(), 7u);
-  EXPECT_EQ(reg.paths_for("cnn").size(), 3u);
-  EXPECT_EQ(reg.paths_for("snn").size(), 2u);
-  EXPECT_EQ(reg.paths_for("gnn").size(), 2u);
-  EXPECT_TRUE(reg.paths_for("tpu").empty());
-  for (const ExecutionPath& p : reg.paths()) {
-    EXPECT_STREQ(p.paradigm, path_paradigm(p.id));
-    EXPECT_EQ(reg.find(p.id), &p);
-  }
+  // One variant per side of the dichotomy that has a sparse alternative.
+  EXPECT_STREQ(path_paradigm(PathId::CnnSparse), "cnn");
+  EXPECT_STREQ(path_paradigm(PathId::SnnEventDriven), "snn");
   // Default is not a variant: it names "whatever the paradigm hard-codes".
-  EXPECT_EQ(reg.find(PathId::Default), nullptr);
+  EXPECT_STREQ(path_paradigm(PathId::Default), "");
+  EXPECT_EQ(routable("cnn"),
+            (std::vector<PathId>{PathId::Default, PathId::CnnSparse}));
+  EXPECT_EQ(routable("snn"),
+            (std::vector<PathId>{PathId::Default, PathId::SnnEventDriven}));
+  EXPECT_EQ(routable("gnn"), std::vector<PathId>{PathId::Default});
 }
 
 TEST(Route, PathNamesAreStable) {
   EXPECT_STREQ(path_name(PathId::Default), "default");
   EXPECT_STREQ(path_name(PathId::CnnSparse), "cnn.sparse");
   EXPECT_STREQ(path_name(PathId::SnnEventDriven), "snn.event_driven");
-  EXPECT_STREQ(path_name(PathId::GnnBatch), "gnn.batch");
+  EXPECT_STREQ(path_name(static_cast<PathId>(17)), "unknown");
   EXPECT_STREQ(path_name(static_cast<PathId>(200)), "unknown");
 }
 
 TEST(Route, PathByteCodecRoundTripsAndRejectsUnknownValues) {
   for (PathId id :
-       {PathId::Default, PathId::CnnDirect, PathId::CnnGemm, PathId::CnnSparse,
-        PathId::SnnClocked, PathId::SnnEventDriven, PathId::GnnIncremental,
-        PathId::GnnBatch}) {
+       {PathId::Default, PathId::CnnSparse, PathId::SnnEventDriven}) {
     const auto decoded = path_from_byte(static_cast<std::uint8_t>(id));
     ASSERT_TRUE(decoded.has_value()) << path_name(id);
     EXPECT_EQ(*decoded, id);
   }
-  for (std::uint8_t raw : {std::uint8_t{4}, std::uint8_t{5}, std::uint8_t{7},
-                           std::uint8_t{10}, std::uint8_t{18},
-                           std::uint8_t{255}}) {
+  // Retired ids (1, 2, 8, 16, 17) decode as unknown, like any gap.
+  for (std::uint8_t raw : {1, 2, 4, 5, 7, 8, 10, 16, 17, 18, 255}) {
     EXPECT_FALSE(path_from_byte(raw).has_value()) << static_cast<int>(raw);
   }
 }
@@ -102,52 +94,24 @@ TEST(Route, PathValidityIsParadigmScoped) {
   EXPECT_TRUE(path_valid_for(PathId::CnnSparse, "cnn"));
   EXPECT_FALSE(path_valid_for(PathId::CnnSparse, "snn"));
   EXPECT_FALSE(path_valid_for(PathId::CnnSparse, ""));
-  EXPECT_TRUE(path_valid_for(PathId::GnnBatch, "gnn"));
-  EXPECT_FALSE(path_valid_for(PathId::GnnBatch, "cnn"));
-}
-
-TEST(Route, DefaultAliasingVariantsAreBornProved) {
-  auto& reg = PathRegistry::instance();
-  EXPECT_TRUE(reg.proved(PathId::Default));
-  EXPECT_TRUE(reg.proved(PathId::CnnDirect));
-  EXPECT_TRUE(reg.proved(PathId::CnnGemm));
-  EXPECT_TRUE(reg.proved(PathId::SnnClocked));
-  EXPECT_TRUE(reg.proved(PathId::GnnIncremental));
-  EXPECT_FALSE(reg.proved(static_cast<PathId>(5)));  // unregistered id
+  EXPECT_TRUE(path_valid_for(PathId::SnnEventDriven, "snn"));
+  EXPECT_FALSE(path_valid_for(PathId::SnnEventDriven, "gnn"));
 }
 
 TEST(Route, RoutableIsDefaultPlusProvedOwnVariantsOnly) {
-  // Proving is process-global and sticky (the oracle suite may have marked
-  // variants before this test), so assert set structure, not a fixed set.
-  auto& reg = PathRegistry::instance();
+  // Every variant listed has a route.* oracle pinning it to Default.
   for (const char* paradigm : {"cnn", "snn", "gnn"}) {
-    const std::vector<PathId> routable = reg.routable(paradigm);
-    ASSERT_FALSE(routable.empty());
-    EXPECT_EQ(routable.front(), PathId::Default);
-    for (size_t i = 1; i < routable.size(); ++i) {
-      EXPECT_TRUE(reg.proved(routable[i])) << path_name(routable[i]);
-      EXPECT_STREQ(path_paradigm(routable[i]), paradigm);
-    }
-    // Every proved variant of the paradigm must appear.
-    for (const ExecutionPath& p : reg.paths_for(paradigm)) {
-      if (reg.proved(p.id)) {
-        EXPECT_NE(std::find(routable.begin(), routable.end(), p.id),
-                  routable.end())
-            << path_name(p.id);
-      }
+    const std::vector<PathId> paths = routable(paradigm);
+    ASSERT_FALSE(paths.empty());
+    EXPECT_EQ(paths.front(), PathId::Default);
+    for (size_t i = 1; i < paths.size(); ++i) {
+      EXPECT_STREQ(path_paradigm(paths[i]), paradigm);
+      EXPECT_TRUE(path_valid_for(paths[i], paradigm));
     }
   }
   // Unknown paradigms can only run their hard-coded behavior.
-  EXPECT_EQ(reg.routable("tpu"), std::vector<PathId>{PathId::Default});
-}
-
-TEST(Route, MarkProvedIgnoresDefaultAndUnknownIds) {
-  auto& reg = PathRegistry::instance();
-  reg.mark_proved(PathId::Default);          // no slot to set
-  reg.mark_proved(static_cast<PathId>(5));   // not a registered variant
-  reg.mark_proved(static_cast<PathId>(200)); // out of slot range
-  EXPECT_FALSE(reg.proved(static_cast<PathId>(5)));
-  EXPECT_FALSE(reg.proved(static_cast<PathId>(200)));
+  EXPECT_EQ(routable("tpu"), std::vector<PathId>{PathId::Default});
+  EXPECT_EQ(routable(""), std::vector<PathId>{PathId::Default});
 }
 
 TEST(Route, KillSwitchTogglesAndRestores) {

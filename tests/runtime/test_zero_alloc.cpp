@@ -13,13 +13,16 @@
 //            itself on both the clocked and the event-driven route, readout
 //            and decision included) is allocation-free after warm-up.
 // And for the runtime: a SessionManager::pump() round with nothing queued
-// allocates nothing, and neither does a round that serves SNN sessions.
+// allocates nothing, neither does a round that serves SNN sessions, and
+// neither does the re-plan window close when the hook keeps the plan.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
+#include <span>
 
 #include "cnn/cnn_pipeline.hpp"
 #include "gnn/gnn_pipeline.hpp"
@@ -205,6 +208,46 @@ TEST(ZeroAlloc, IdleSessionManagerPumpIsAllocationFree) {
     }
   });
   EXPECT_EQ(working, 0) << "serving SNN sessions must not touch the heap";
+}
+
+TEST(ZeroAlloc, ReplanWindowIsAllocationFreeWhenTheHookKeepsThePlan) {
+  snn::SnnPipelineConfig config = stepping_snn_config();
+  config.hidden = 16;
+  snn::SnnPipeline pipeline(config);
+  SessionManager manager(/*burst=*/8);
+  constexpr Index kSessions = 12;
+  for (Index s = 0; s < kSessions; ++s) {
+    manager.add(pipeline.open_session(16, 16));
+  }
+  Index calls = 0;
+  manager.set_replan(
+      [&calls](std::span<const Index>,
+               std::span<const double>) -> std::optional<sched::Plan> {
+        ++calls;
+        return std::nullopt;
+      },
+      /*window=*/4);
+  // Backlog that swings by powers of two every few windows, so the
+  // workload fingerprint drifts and the hook is really invoked.
+  TimeUs t = 0;
+  const auto serve = [&](Index round) {
+    const Index burst = (round / 8) % 2 == 0 ? 1 : 24;
+    for (Index s = 0; s < kSessions; ++s) {
+      for (Index k = 0; k < burst; ++k) {
+        manager.submit(s, event_at(s + k, t += 50));
+      }
+    }
+    manager.pump_all();
+  };
+  for (Index round = 0; round < 32; ++round) serve(round);  // warm-up
+
+  const Index calls_before = calls;
+  const std::int64_t allocs = allocations_during([&] {
+    for (Index round = 0; round < 64; ++round) serve(round);
+  });
+  EXPECT_EQ(allocs, 0) << "closing a re-plan window must not touch the heap";
+  EXPECT_GT(calls - calls_before, 2) << "the hook never ran in the window";
+  EXPECT_FALSE(manager.has_plan());
 }
 
 }  // namespace

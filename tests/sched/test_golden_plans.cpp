@@ -11,7 +11,6 @@
 #include "check/golden.hpp"
 #include "cnn/cnn_pipeline.hpp"
 #include "gnn/gnn_pipeline.hpp"
-#include "route/route.hpp"
 #include "sched/annealer.hpp"
 #include "sched/planner.hpp"
 #include "snn/snn_pipeline.hpp"
@@ -70,12 +69,6 @@ std::string render(const std::string& title,
 }
 
 TEST(GoldenPlans, ChosenPlansMatchTheSnapshot) {
-  // The path move only draws proved variants, and proving is process-wide
-  // and sticky (route.* oracle registration). Pin the full proved set here
-  // so the snapshot does not depend on which suites ran before this one.
-  route::PathRegistry::instance().mark_proved(route::PathId::CnnSparse);
-  route::PathRegistry::instance().mark_proved(route::PathId::SnnEventDriven);
-  route::PathRegistry::instance().mark_proved(route::PathId::GnnBatch);
   std::string actual;
   actual += render("cnn_heavy",
                    {cnn_profile(96), cnn_profile(96), cnn_profile(64),

@@ -1,5 +1,5 @@
-// Negative decoding suite for serialized plan frames (ISSUE satellite):
-// truncated, bit-flipped and version-skewed plan_bytes must surface as
+// Negative decoding suite for serialized plan frames: truncated,
+// bit-flipped and version-skewed plan_bytes must surface as
 // typed CheckpointCorrupt / CheckpointMismatch errors — never as UB, a
 // silent mis-decode, or a half-installed plan — and a failed
 // install_plan_bytes must leave the manager's plan, bytes and session
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "fault/checkpoint.hpp"
 #include "route/route.hpp"
 #include "runtime/session_manager.hpp"
 #include "sched/plan.hpp"
@@ -32,22 +33,16 @@ class ParadigmSession final : public runtime::SessionBase {
   }
 };
 
-/// A plan with everything a frame can carry: regions, bursts, placements,
-/// hw models, execution paths and fusion groups.
+/// A plan with everything a frame can carry: regions, bursts, and
+/// placements with and without a routed execution path.
 Plan full_plan(route::PathId cnn_path = route::PathId::CnnSparse) {
   Plan plan = Plan::round_robin(3, 2, 4);
   plan.regions[0].entries[0].burst = 2;
-  ParadigmPlacement cnn;
-  cnn.paradigm = "cnn";
-  cnn.hw = HwModel::ZeroSkip;
-  cnn.path = cnn_path;
-  cnn.fuse_group = {0, 0, 1};
-  ParadigmPlacement gnn;
-  gnn.paradigm = "gnn";
-  gnn.hw = HwModel::GnnAccelSmall;
-  gnn.path = route::PathId::GnnBatch;
-  gnn.fuse_group = {0, 1, 2};
-  plan.placements = {cnn, gnn};
+  plan.seed = 7;
+  plan.modeled_cost_us = 41.5;
+  plan.placements = {{"cnn", cnn_path},
+                     {"snn", route::PathId::SnnEventDriven},
+                     {"gnn", route::PathId::Default}};
   plan.refresh_labels();
   return plan;
 }
@@ -57,6 +52,26 @@ std::vector<std::uint8_t> full_plan_bytes(
   std::vector<std::uint8_t> bytes;
   full_plan(cnn_path).serialize(bytes);
   return bytes;
+}
+
+/// Offset of the cnn placement's path byte: two frames differing only in
+/// that field differ in exactly one byte.
+size_t cnn_path_offset() {
+  const std::vector<std::uint8_t> sparse =
+      full_plan_bytes(route::PathId::CnnSparse);
+  const std::vector<std::uint8_t> dense =
+      full_plan_bytes(route::PathId::Default);
+  EXPECT_EQ(sparse.size(), dense.size());
+  size_t at = sparse.size();
+  size_t differing = 0;
+  for (size_t i = 0; i < sparse.size() && i < dense.size(); ++i) {
+    if (sparse[i] != dense[i]) {
+      at = i;
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 1u);
+  return at;
 }
 
 ErrorCode decode_error(std::span<const std::uint8_t> bytes) {
@@ -91,9 +106,10 @@ TEST(PlanFrames, FlippedMagicRaisesCheckpointMismatch) {
 }
 
 TEST(PlanFrames, VersionSkewRaisesCheckpointMismatch) {
-  // The format is strict v2-only: a v1 frame (pre-routing, no path byte)
-  // and a from-the-future v3 frame are both refused up front.
-  for (std::uint32_t version : {0u, 1u, 3u, 0xFFFFFFFFu}) {
+  // The format is strict v3-only: older frames (v1 had no path byte, v2 a
+  // modeled hw choice and fusion groups) and a from-the-future v4 frame are
+  // all refused up front.
+  for (std::uint32_t version : {0u, 1u, 2u, 4u, 0xFFFFFFFFu}) {
     std::vector<std::uint8_t> bytes = full_plan_bytes();
     std::memcpy(bytes.data() + 4, &version, sizeof(version));
     EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointMismatch)
@@ -102,27 +118,67 @@ TEST(PlanFrames, VersionSkewRaisesCheckpointMismatch) {
 }
 
 TEST(PlanFrames, UnknownPathByteRaisesCheckpointCorrupt) {
-  // Locate the cnn placement's path byte without hard-coding the layout:
-  // two frames differing only in that field differ in exactly one byte.
-  const std::vector<std::uint8_t> sparse =
-      full_plan_bytes(route::PathId::CnnSparse);
-  const std::vector<std::uint8_t> direct =
-      full_plan_bytes(route::PathId::CnnDirect);
-  ASSERT_EQ(sparse.size(), direct.size());
-  size_t path_at = sparse.size();
-  size_t differing = 0;
-  for (size_t i = 0; i < sparse.size(); ++i) {
-    if (sparse[i] != direct[i]) {
-      path_at = i;
-      ++differing;
-    }
-  }
-  ASSERT_EQ(differing, 1u);
-  std::vector<std::uint8_t> bytes = sparse;
+  const size_t path_at = cnn_path_offset();
+  std::vector<std::uint8_t> bytes = full_plan_bytes();
+  ASSERT_LT(path_at, bytes.size());
   bytes[path_at] = 0x05;  // reserved gap in the PathId space
   EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointCorrupt);
   bytes[path_at] = 0xFE;
   EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointCorrupt);
+}
+
+TEST(PlanFrames, RetiredPathBytesRaiseCheckpointCorrupt) {
+  // cnn.direct (1), cnn.gemm (2), snn.clocked (8), gnn.incremental (16)
+  // and gnn.batch (17) are no longer paths: a v3 frame naming one is
+  // corrupt, never silently decoded as some other route.
+  const size_t path_at = cnn_path_offset();
+  for (const std::uint8_t retired : {1, 2, 8, 16, 17}) {
+    std::vector<std::uint8_t> bytes = full_plan_bytes();
+    ASSERT_LT(path_at, bytes.size());
+    bytes[path_at] = retired;
+    EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointCorrupt)
+        << "path byte " << static_cast<int>(retired);
+  }
+}
+
+TEST(PlanFrames, V2FrameRaisesCheckpointMismatch) {
+  // A genuine v2 frame, laid out field by field: each placement carried a
+  // u32 hw model before its path byte and a fusion-group vector after it.
+  std::vector<std::uint8_t> bytes;
+  fault::CheckpointWriter w(bytes, std::size_t{1} << 20);
+  w.u32(0x53434845u);  // "SCHE"
+  w.u32(2);
+  w.i64(1);            // session_count
+  w.i64(4);            // burst_cap
+  w.i64(0);            // seed
+  w.f64(0.0);          // modeled_cost_us
+  w.i64(1);            // regions
+  w.pod_vector(std::vector<PlanEntry>{{0, 4}});
+  w.i64(1);            // placements
+  w.str("cnn");
+  w.u32(1);            // hw = zero_skip
+  w.u8(static_cast<std::uint8_t>(route::PathId::CnnSparse));
+  w.pod_vector(std::vector<Index>{0, 1, 1});
+  EXPECT_EQ(decode_error(bytes), ErrorCode::CheckpointMismatch);
+}
+
+TEST(PlanFrames, V3FrameRoundTrips) {
+  const Plan plan = full_plan();
+  const std::vector<std::uint8_t> bytes = full_plan_bytes();
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  EXPECT_EQ(version, 3u);
+  const Plan back = Plan::deserialize(bytes);
+  EXPECT_TRUE(back == plan);
+  EXPECT_EQ(back.seed, plan.seed);
+  EXPECT_EQ(back.modeled_cost_us, plan.modeled_cost_us);
+  ASSERT_EQ(back.placements.size(), 3u);
+  EXPECT_EQ(back.placements[0].path, route::PathId::CnnSparse);
+  EXPECT_EQ(back.placements[1].path, route::PathId::SnnEventDriven);
+  EXPECT_EQ(back.placements[2].path, route::PathId::Default);
+  std::vector<std::uint8_t> again;
+  back.serialize(again);
+  EXPECT_EQ(again, bytes);
 }
 
 TEST(PlanFrames, EverySingleBitFlipDecodesTypedOrValid) {
@@ -153,8 +209,8 @@ TEST(PlanFrames, EverySingleBitFlipDecodesTypedOrValid) {
 TEST(PlanFrames, FailedInstallLeavesManagerAndRoutesUntouched) {
   runtime::SessionManager manager;
   const auto cnn_id = manager.add(std::make_unique<ParadigmSession>("cnn"));
-  manager.add(std::make_unique<ParadigmSession>("snn"));
-  const auto gnn_id = manager.add(std::make_unique<ParadigmSession>("gnn"));
+  const auto snn_id = manager.add(std::make_unique<ParadigmSession>("snn"));
+  manager.add(std::make_unique<ParadigmSession>("gnn"));
   manager.set_plan(full_plan());
   const std::vector<std::uint8_t> installed = manager.plan_bytes();
   const std::uint64_t fingerprint = manager.plan().fingerprint();
@@ -165,8 +221,8 @@ TEST(PlanFrames, FailedInstallLeavesManagerAndRoutesUntouched) {
     EXPECT_EQ(manager.plan().fingerprint(), fingerprint);
     EXPECT_EQ(manager.session(cnn_id).execution_path(),
               route::PathId::CnnSparse);
-    EXPECT_EQ(manager.session(gnn_id).execution_path(),
-              route::PathId::GnnBatch);
+    EXPECT_EQ(manager.session(snn_id).execution_path(),
+              route::PathId::SnnEventDriven);
   };
   expect_untouched();
 

@@ -1,7 +1,7 @@
 // Plan-driven pumping in the SessionManager: installation rules, FIFO
 // preservation under arbitrary plans, the EVD_SCHED kill-switch, plan
 // carriage through checkpoint bytes, and fault interaction (quarantine
-// under a fused plan leaves neighbours bitwise unchanged).
+// under a single-region plan leaves neighbours bitwise unchanged).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -266,7 +266,7 @@ class SchedFaultTest : public ::testing::Test {
 
 TEST_F(SchedFaultTest, QuarantineUnderAPlanLeavesNeighboursBitwiseUnchanged) {
   ScopedSched on(true);
-  // Single fused region visiting all sessions: the faulted session shares
+  // One region visiting all sessions: the faulted session shares
   // its worker with every neighbour, the worst case for blast radius.
   const auto run = [&](bool inject) {
     SessionManager manager(/*burst=*/2);
